@@ -5,11 +5,23 @@
 // double-precision path and the single-precision SIMD path on this host
 // (with and without the cutoff polynomial); the expected shape is a large
 // SIMD win, recorded as `pp_simd_speedup` in the JSON report.
+//
+// A tree row puts the kernel in context: a full short-range force
+// evaluation (build + group walk + kernel) on a 24^3 set at the production
+// rcut/box, at 1 and 2 OpenMP threads, reported as interactions/s and
+// seconds per evaluation.
 #include <cstdio>
+#include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/rng.hpp"
 #include "gravity/pp_kernel.hpp"
+#include "gravity/tree.hpp"
+#include "gravity/treepm.hpp"
 #include "harness.hpp"
 
 namespace {
@@ -116,6 +128,58 @@ int main(int argc, char** argv) {
                              fay.data(), faz.data());
         },
         static_cast<double>(nt * ns));
+  }
+
+  // Tree row: TreePM defaults on a 12^3 PM mesh (rcut = 4.5 rs ~ 0.47 box).
+  {
+    const double box = 1.0;
+    const v6d::gravity::TreePmOptions opt;
+    const int per_side = 24;
+    v6d::nbody::Particles p(static_cast<std::size_t>(per_side) * per_side *
+                            per_side);
+    v6d::Xoshiro256 rng(11);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      p.x[i] = rng.next_double() * box;
+      p.y[i] = rng.next_double() * box;
+      p.z[i] = rng.next_double() * box;
+    }
+    p.mass = 1.0 / static_cast<double>(p.size());
+    const double cell = box / 12.0;
+    PpKernelParams params;
+    params.rs = opt.rs_cells * cell;
+    params.rcut = opt.rcut_over_rs * params.rs;
+    params.eps = opt.eps_cells * cell;
+    const CutoffPoly poly(opt.rcut_over_rs / 2.0, opt.cutoff_poly_degree);
+    const int tree_reps = scaled(5, 1);
+    std::vector<double> ax, ay, az;
+    for (const int threads : {1, 2}) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#else
+      if (threads > 1) continue;
+#endif
+      BarnesHutTree counted(p, box, opt.leaf_size);
+      TreeStats stats;
+      counted.accelerations(p, params, poly, opt.theta, opt.use_simd, ax, ay,
+                            az, &stats);
+      const double interactions = static_cast<double>(
+          stats.p2p_interactions + stats.node_interactions);
+      const std::string tag = "tree_24cubed_" + std::to_string(threads) + "t";
+      const double t_eval = harness.time_phase(
+          tag, tree_reps,
+          [&] {
+            BarnesHutTree tree(p, box, opt.leaf_size);
+            tree.accelerations(p, params, poly, opt.theta, opt.use_simd, ax,
+                               ay, az);
+          },
+          interactions);
+      const double rate = t_eval > 0.0 ? interactions / t_eval : 0.0;
+      harness.metric(tag + "_s_per_eval", t_eval, "s");
+      harness.metric(tag + "_interactions_per_s", rate, "1/s");
+      std::printf("  tree 24^3, %d thread(s): %.4f s/eval, %.3g "
+                  "interactions/s\n",
+                  threads, t_eval, rate);
+    }
   }
 
   const double speedup = t_simd_8k > 0.0 ? t_scalar_8k / t_simd_8k : 0.0;

@@ -105,70 +105,70 @@ void pp_accumulate_simd(const float* tx, const float* ty, const float* tz,
   const bool split = params.rs > 0.0;
   const auto& c = poly.coeffs();
 
-  // Vectorize over sources; pad the tail with zero-mass phantom sources.
+  // Loop invariants, broadcast once: the pair body below runs per source
+  // pack, and GCC does not hoist broadcasts out of its branches.
+  const P veps2 = P::broadcast(eps2);
+  const P one = P::broadcast(1.0f);
+  const P vinv_2rs = P::broadcast(inv_2rs);
+  const P vx_scale = P::broadcast(2.0f / static_cast<float>(poly.u_cut()));
+  const P vrcut2 = P::broadcast(rcut2);
+  std::vector<P> cb(c.size());
+  for (std::size_t k = 0; k < c.size(); ++k) cb[k] = P::broadcast(c[k]);
+
+  // One pack of sources against one target, accumulated into g*.
+  const auto interact = [&](P dx, P dy, P dz, P m, P& gx, P& gy, P& gz) {
+    const P r2 = simd::fma(dz, dz, simd::fma(dy, dy, dx * dx)) + veps2;
+    const P r = simd::sqrt(r2);
+    const P inv_r3 = one / (r2 * r);
+    P f = m * inv_r3;
+    if (split) {
+      // Clenshaw evaluation of the Chebyshev series at x = 2u/ucut - 1.
+      const P u = r * vinv_2rs;
+      const P x = u * vx_scale - one;
+      const P two_x = x + x;
+      P b1 = P::zero(), b2 = P::zero();
+      for (std::size_t k = cb.size(); k-- > 1;) {
+        const P b0 = simd::fma(two_x, b1, cb[k] - b2);
+        b2 = b1;
+        b1 = b0;
+      }
+      const P spoly = simd::fma(x, b1, cb[0] - b2);
+      f = f * spoly;
+    }
+    if (rcut2 > 0.0f) f = simd::select<float, L>(r2 < vrcut2, f, P::zero());
+    // Suppress self-interaction (r2 == 0 with zero softening).
+    f = simd::select<float, L>(r2 > P::zero(), f, P::zero());
+    gx = simd::fma(f, dx, gx);
+    gy = simd::fma(f, dy, gy);
+    gz = simd::fma(f, dz, gz);
+  };
+
+  // Vectorize over sources; the tail is padded with zero-mass phantom
+  // sources placed on the target (dx = 0), which contribute exactly zero.
   const std::size_t ns_full = ns / L * L;
+  const std::size_t tail = ns - ns_full;
+  float pad_x[L], pad_y[L], pad_z[L], pad_m[L] = {};
+  for (std::size_t k = 0; k < tail; ++k) pad_m[k] = sm[ns_full + k];
   for (std::size_t t = 0; t < nt; ++t) {
     const P px = P::broadcast(tx[t]);
     const P py = P::broadcast(ty[t]);
     const P pz = P::broadcast(tz[t]);
     P gx = P::zero(), gy = P::zero(), gz = P::zero();
-    const P veps2 = P::broadcast(eps2);
-    const P one = P::broadcast(1.0f);
-    std::size_t s = 0;
-    for (; s < ns_full; s += L) {
-      const P dx = P::load(sx + s) - px;
-      const P dy = P::load(sy + s) - py;
-      const P dz = P::load(sz + s) - pz;
-      const P r2 = simd::fma(dz, dz, simd::fma(dy, dy, dx * dx)) + veps2;
-      const P r = simd::sqrt(r2);
-      const P inv_r3 = one / (r2 * r);
-      P f = P::load(sm + s) * inv_r3;
-      if (split) {
-        // Clenshaw evaluation of the Chebyshev series at x = 2u/ucut - 1.
-        const P u = r * P::broadcast(inv_2rs);
-        const P x = u * P::broadcast(2.0f / static_cast<float>(poly.u_cut())) -
-                    P::broadcast(1.0f);
-        const P two_x = x + x;
-        P b1 = P::zero(), b2 = P::zero();
-        for (std::size_t k = c.size(); k-- > 1;) {
-          const P b0 = simd::fma(two_x, b1, P::broadcast(c[k]) - b2);
-          b2 = b1;
-          b1 = b0;
-        }
-        const P spoly = simd::fma(x, b1, P::broadcast(c[0]) - b2);
-        f = f * spoly;
+    for (std::size_t s = 0; s < ns_full; s += L)
+      interact(P::load(sx + s) - px, P::load(sy + s) - py,
+               P::load(sz + s) - pz, P::load(sm + s), gx, gy, gz);
+    if (tail > 0) {
+      for (std::size_t k = 0; k < static_cast<std::size_t>(L); ++k) {
+        pad_x[k] = k < tail ? sx[ns_full + k] : tx[t];
+        pad_y[k] = k < tail ? sy[ns_full + k] : ty[t];
+        pad_z[k] = k < tail ? sz[ns_full + k] : tz[t];
       }
-      if (rcut2 > 0.0f) {
-        const auto inside = r2 < P::broadcast(rcut2);
-        f = simd::select<float, L>(inside, f, P::zero());
-      }
-      // Suppress self-interaction (r2 == 0 with zero softening).
-      f = simd::select<float, L>(r2 > P::zero(), f, P::zero());
-      gx = simd::fma(f, dx, gx);
-      gy = simd::fma(f, dy, gy);
-      gz = simd::fma(f, dz, gz);
+      interact(P::load(pad_x) - px, P::load(pad_y) - py, P::load(pad_z) - pz,
+               P::load(pad_m), gx, gy, gz);
     }
-    float hx = simd::horizontal_sum(gx);
-    float hy = simd::horizontal_sum(gy);
-    float hz = simd::horizontal_sum(gz);
-    // Scalar tail.
-    for (; s < ns; ++s) {
-      const float dx = sx[s] - tx[t];
-      const float dy = sy[s] - ty[t];
-      const float dz = sz[s] - tz[t];
-      float r2 = dx * dx + dy * dy + dz * dz + eps2;
-      if (r2 == 0.0f) continue;
-      if (rcut2 > 0.0f && r2 >= rcut2) continue;
-      const float r = std::sqrt(r2);
-      float f = sm[s] / (r2 * r);
-      if (split) f *= poly.eval(r * inv_2rs);
-      hx += f * dx;
-      hy += f * dy;
-      hz += f * dz;
-    }
-    ax[t] += hx;
-    ay[t] += hy;
-    az[t] += hz;
+    ax[t] += simd::horizontal_sum(gx);
+    ay[t] += simd::horizontal_sum(gy);
+    az[t] += simd::horizontal_sum(gz);
   }
 }
 

@@ -2,12 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace v6d::gravity {
 
 namespace {
 constexpr int kMaxDepth = 40;
 }
+
+/// One target group's walk state: the group's bounding box, the walk
+/// parameters, and the interaction list it collects.  List entries are
+/// source positions relative to the group centre at the periodic image
+/// the walk met them in.
+struct BarnesHutTree::Group {
+  double centre[3];
+  double extent[3];  // half extents of the targets' bounding box
+  double theta2;
+  double rcut2;      // 0: no cutoff
+  bool window;       // keep only sources within [-box/2, box/2) per axis
+  double half_box;
+  std::vector<double> sx, sy, sz, sm;
+  std::size_t pseudo = 0;  // monopole entries in the list
+
+  /// Squared distance from the point d to the group box.
+  double gap2(const double d[3]) const {
+    double sum = 0.0;
+    for (int a = 0; a < 3; ++a) {
+      const double gap = std::max(0.0, std::fabs(d[a]) - extent[a]);
+      sum += gap * gap;
+    }
+    return sum;
+  }
+
+  void push(double x, double y, double z, double m) {
+    sx.push_back(x);
+    sy.push_back(y);
+    sz.push_back(z);
+    sm.push_back(m);
+  }
+};
 
 BarnesHutTree::BarnesHutTree(const nbody::Particles& particles, double box,
                              int leaf_size)
@@ -19,6 +52,16 @@ BarnesHutTree::BarnesHutTree(const nbody::Particles& particles, double box,
   if (n > 0)
     build(0, static_cast<int>(n), 0.5 * box, 0.5 * box, 0.5 * box, 0.5 * box,
           0);
+  // Positions in tree order, so a leaf's particles are contiguous.
+  xs_.resize(n);
+  ys_.resize(n);
+  zs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto q = static_cast<std::size_t>(perm_[i]);
+    xs_[i] = particles.x[q];
+    ys_[i] = particles.y[q];
+    zs_[i] = particles.z[q];
+  }
 }
 
 int BarnesHutTree::build(int first, int count, double cx, double cy,
@@ -26,31 +69,33 @@ int BarnesHutTree::build(int first, int count, double cx, double cy,
   const int idx = static_cast<int>(nodes_.size());
   nodes_.push_back({});
   Node node{};
-  node.cx = cx;
-  node.cy = cy;
-  node.cz = cz;
   node.half = half;
   node.first = first;
   node.count = count;
   std::fill(std::begin(node.children), std::end(node.children), -1);
 
-  // Center of mass over the range.
+  // Center of mass and bounding box over the range.
   const auto& p = *particles_;
-  double mx = 0.0, my = 0.0, mz = 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  double sum[3] = {0.0, 0.0, 0.0};
+  std::fill(std::begin(node.lo), std::end(node.lo), inf);
+  std::fill(std::begin(node.hi), std::end(node.hi), -inf);
   for (int i = first; i < first + count; ++i) {
-    const int q = perm_[static_cast<std::size_t>(i)];
-    mx += p.x[static_cast<std::size_t>(q)];
-    my += p.y[static_cast<std::size_t>(q)];
-    mz += p.z[static_cast<std::size_t>(q)];
+    const auto q = static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)]);
+    const double r[3] = {p.x[q], p.y[q], p.z[q]};
+    for (int a = 0; a < 3; ++a) {
+      sum[a] += r[a];
+      node.lo[a] = std::min(node.lo[a], r[a]);
+      node.hi[a] = std::max(node.hi[a], r[a]);
+    }
   }
   node.mass = p.mass * count;
-  node.comx = mx / count;
-  node.comy = my / count;
-  node.comz = mz / count;
+  for (int a = 0; a < 3; ++a) node.com[a] = sum[a] / count;
 
   if (count <= leaf_size_ || depth >= kMaxDepth) {
     node.leaf = true;
     nodes_[static_cast<std::size_t>(idx)] = node;
+    leaves_.push_back(idx);
     return idx;
   }
   node.leaf = false;
@@ -87,53 +132,121 @@ int BarnesHutTree::build(int first, int count, double cx, double cy,
   return idx;
 }
 
-double BarnesHutTree::min_image(double d) const {
-  if (d > 0.5 * box_) return d - box_;
-  if (d < -0.5 * box_) return d + box_;
-  return d;
-}
-
-void BarnesHutTree::walk(int node_idx, double tx, double ty, double tz,
-                         double theta2, double rcut, std::vector<float>& sx,
-                         std::vector<float>& sy, std::vector<float>& sz,
-                         std::vector<float>& sm) const {
+void BarnesHutTree::walk(int node_idx, const double offset[3],
+                         Group& g) const {
   const Node& node = nodes_[static_cast<std::size_t>(node_idx)];
-  const double dx = min_image(node.comx - tx);
-  const double dy = min_image(node.comy - ty);
-  const double dz = min_image(node.comz - tz);
-  const double d2 = dx * dx + dy * dy + dz * dz;
-
-  // Cutoff pruning: if even the nearest point of the node is outside rcut,
-  // the short-range force from the whole subtree vanishes.
-  if (rcut > 0.0) {
-    const double node_radius = node.half * std::sqrt(3.0);
-    const double dmin = std::sqrt(d2) - node_radius;
-    if (dmin > rcut) return;
+  // Node bounds relative to the group centre at this image; the group box
+  // is [-extent, extent].
+  double gap2 = 0.0;
+  bool inside = true;
+  for (int a = 0; a < 3; ++a) {
+    const double lo = node.lo[a] + offset[a];
+    const double hi = node.hi[a] + offset[a];
+    if (g.window) {
+      if (hi < -g.half_box || lo >= g.half_box) return;
+      inside = inside && lo >= -g.half_box && hi < g.half_box;
+    }
+    const double gap = std::max({0.0, lo - g.extent[a], -g.extent[a] - hi});
+    gap2 += gap * gap;
   }
+  // Cutoff pruning: the nearest pair between the node's particles and the
+  // group box is beyond rcut, so the subtree contributes nothing.
+  if (g.rcut2 > 0.0 && gap2 > g.rcut2) return;
 
-  const double size = 2.0 * node.half;
-  if (!node.leaf && size * size < theta2 * d2) {
-    // Accept as monopole pseudo-particle.
-    sx.push_back(static_cast<float>(dx));
-    sy.push_back(static_cast<float>(dy));
-    sz.push_back(static_cast<float>(dz));
-    sm.push_back(static_cast<float>(node.mass));
-    return;
-  }
   if (node.leaf) {
-    const auto& p = *particles_;
     for (int i = node.first; i < node.first + node.count; ++i) {
-      const auto q = static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)]);
-      sx.push_back(static_cast<float>(min_image(p.x[q] - tx)));
-      sy.push_back(static_cast<float>(min_image(p.y[q] - ty)));
-      sz.push_back(static_cast<float>(min_image(p.z[q] - tz)));
-      sm.push_back(static_cast<float>(p.mass));
+      const auto q = static_cast<std::size_t>(i);
+      const double d[3] = {xs_[q] + offset[0], ys_[q] + offset[1],
+                           zs_[q] + offset[2]};
+      if (g.window &&
+          std::any_of(std::begin(d), std::end(d), [&](double v) {
+            return v < -g.half_box || v >= g.half_box;
+          }))
+        continue;
+      g.push(d[0], d[1], d[2], particles_->mass);
     }
     return;
   }
+
+  // Accept as a monopole pseudo-particle when the cell is small as seen
+  // from the nearest point of the group box.  A windowed walk accepts only
+  // cells wholly inside the window, so each source is counted once.
+  const double com[3] = {node.com[0] + offset[0], node.com[1] + offset[1],
+                         node.com[2] + offset[2]};
+  const double com_gap2 = g.gap2(com);
+  const double size = 2.0 * node.half;
+  if (inside && size * size < g.theta2 * com_gap2) {
+    // Beyond rcut of every target the kernel would mask it anyway.
+    if (g.rcut2 > 0.0 && com_gap2 > g.rcut2) return;
+    g.push(com[0], com[1], com[2], node.mass);
+    ++g.pseudo;
+    return;
+  }
   for (int c : node.children)
-    if (c >= 0) walk(c, tx, ty, tz, theta2, rcut, sx, sy, sz, sm);
+    if (c >= 0) walk(c, offset, g);
 }
+
+void BarnesHutTree::collect(Group& g) const {
+  g.sx.clear();
+  g.sy.clear();
+  g.sz.clear();
+  g.sm.clear();
+  g.pseudo = 0;
+  for (int kx = -1; kx <= 1; ++kx)
+    for (int ky = -1; ky <= 1; ++ky)
+      for (int kz = -1; kz <= 1; ++kz) {
+        const double offset[3] = {kx * box_ - g.centre[0],
+                                  ky * box_ - g.centre[1],
+                                  kz * box_ - g.centre[2]};
+        walk(0, offset, g);
+      }
+}
+
+namespace {
+
+/// Per-thread kernel scratch: one group's targets relative to its centre,
+/// their accelerations, and the float copies the SIMD kernel reads.
+struct GroupKernel {
+  std::vector<double> rx, ry, rz, gx, gy, gz;
+  std::vector<float> fsx, fsy, fsz, fsm, frx, fry, frz, fgx, fgy, fgz;
+
+  /// Evaluates the list (sx..sm, ns entries) at targets rx..rz into gx..gz.
+  void evaluate(const std::vector<double>& sx, const std::vector<double>& sy,
+                const std::vector<double>& sz, const std::vector<double>& sm,
+                const PpKernelParams& params, const CutoffPoly& poly,
+                bool use_simd) {
+    const std::size_t ni = rx.size(), ns = sx.size();
+    gx.assign(ni, 0.0);
+    gy.assign(ni, 0.0);
+    gz.assign(ni, 0.0);
+    if (!use_simd) {
+      pp_accumulate_scalar(rx.data(), ry.data(), rz.data(), ni, sx.data(),
+                           sy.data(), sz.data(), sm.data(), ns, params,
+                           gx.data(), gy.data(), gz.data());
+      return;
+    }
+    // Float staging is accurate: every coordinate is relative to the group
+    // centre, |x| <= rcut + group extent.
+    fsx.assign(sx.begin(), sx.end());
+    fsy.assign(sy.begin(), sy.end());
+    fsz.assign(sz.begin(), sz.end());
+    fsm.assign(sm.begin(), sm.end());
+    frx.assign(rx.begin(), rx.end());
+    fry.assign(ry.begin(), ry.end());
+    frz.assign(rz.begin(), rz.end());
+    fgx.assign(ni, 0.0f);
+    fgy.assign(ni, 0.0f);
+    fgz.assign(ni, 0.0f);
+    pp_accumulate_simd(frx.data(), fry.data(), frz.data(), ni, fsx.data(),
+                       fsy.data(), fsz.data(), fsm.data(), ns, params, poly,
+                       fgx.data(), fgy.data(), fgz.data());
+    gx.assign(fgx.begin(), fgx.end());
+    gy.assign(fgy.begin(), fgy.end());
+    gz.assign(fgz.begin(), fgz.end());
+  }
+};
+
+}  // namespace
 
 void BarnesHutTree::accumulate(const double* tx, const double* ty,
                                const double* tz, std::size_t nt,
@@ -141,37 +254,92 @@ void BarnesHutTree::accumulate(const double* tx, const double* ty,
                                const CutoffPoly& poly, double theta,
                                bool use_simd, double* ax, double* ay,
                                double* az, TreeStats* stats) const {
-  if (nodes_.empty()) return;
-  std::vector<float> sx, sy, sz, sm;
-  std::vector<double> dsx, dsy, dsz, dsm;
-  for (std::size_t t = 0; t < nt; ++t) {
-    sx.clear();
-    sy.clear();
-    sz.clear();
-    sm.clear();
-    // Interaction list with displacements relative to the target: float
-    // staging stays accurate because |displacement| <= rcut << box.
-    walk(0, tx[t], ty[t], tz[t], theta * theta, params.rcut, sx, sy, sz, sm);
-    if (stats) stats->p2p_interactions += sx.size();
-    if (use_simd) {
-      const float zero3[3] = {0.0f, 0.0f, 0.0f};
-      float fax = 0.0f, fay = 0.0f, faz = 0.0f;
-      pp_accumulate_simd(&zero3[0], &zero3[1], &zero3[2], 1, sx.data(),
-                         sy.data(), sz.data(), sm.data(), sx.size(), params,
-                         poly, &fax, &fay, &faz);
-      ax[t] += fax;
-      ay[t] += fay;
-      az[t] += faz;
-    } else {
-      dsx.assign(sx.begin(), sx.end());
-      dsy.assign(sy.begin(), sy.end());
-      dsz.assign(sz.begin(), sz.end());
-      dsm.assign(sm.begin(), sm.end());
-      const double zero3[3] = {0.0, 0.0, 0.0};
-      pp_accumulate_scalar(&zero3[0], &zero3[1], &zero3[2], 1, dsx.data(),
-                           dsy.data(), dsz.data(), dsm.data(), dsx.size(),
-                           params, ax + t, ay + t, az + t);
+  if (nodes_.empty() || nt == 0) return;
+  // Leaf groups need 0 < rcut < box/2: the walk then lists every source
+  // image within rcut of the group box, and since images are a box
+  // (> 2 rcut) apart the kernel's r < rcut mask keeps, for each target,
+  // exactly the minimum image.  Without such a cutoff the minimum image is
+  // a window around one target, so each target is its own group.
+  const auto& p = *particles_;
+  const bool own = tx == p.x.data() && ty == p.y.data() &&
+                   tz == p.z.data() && nt == p.size();
+  const bool grouped = own && params.rcut > 0.0 && params.rcut < 0.5 * box_;
+  const auto ngroups =
+      static_cast<std::ptrdiff_t>(grouped ? leaves_.size() : nt);
+
+  TreeStats total;
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
+  {
+    // Scratch lists persist per thread across calls, so once grown the
+    // group loop allocates nothing: per-call buffers, allocated in an order
+    // set by the dynamic schedule, fragment the caller's heap (peak RSS up
+    // ~20 MB on some hybrid runs).
+    thread_local Group g;
+    g.theta2 = theta * theta;
+    g.rcut2 = params.rcut > 0.0 ? params.rcut * params.rcut : 0.0;
+    g.window = !grouped;
+    g.half_box = 0.5 * box_;
+    thread_local GroupKernel k;
+    TreeStats local;
+
+#ifdef _OPENMP
+#pragma omp for schedule(dynamic)
+#endif
+    for (std::ptrdiff_t gi = 0; gi < ngroups; ++gi) {
+      int single = static_cast<int>(gi);
+      const int* idx = &single;
+      std::size_t ni = 1;
+      if (grouped) {
+        const auto leaf = static_cast<std::size_t>(
+            leaves_[static_cast<std::size_t>(gi)]);
+        idx = perm_.data() + nodes_[leaf].first;
+        ni = static_cast<std::size_t>(nodes_[leaf].count);
+      }
+
+      // Group box, then the targets relative to its centre.
+      for (int a = 0; a < 3; ++a) {
+        const double* t = a == 0 ? tx : a == 1 ? ty : tz;
+        double lo = t[idx[0]], hi = t[idx[0]];
+        for (std::size_t i = 1; i < ni; ++i) {
+          lo = std::min(lo, t[idx[i]]);
+          hi = std::max(hi, t[idx[i]]);
+        }
+        g.centre[a] = 0.5 * (lo + hi);
+        g.extent[a] = 0.5 * (hi - lo);
+      }
+      k.rx.resize(ni);
+      k.ry.resize(ni);
+      k.rz.resize(ni);
+      for (std::size_t i = 0; i < ni; ++i) {
+        k.rx[i] = tx[idx[i]] - g.centre[0];
+        k.ry[i] = ty[idx[i]] - g.centre[1];
+        k.rz[i] = tz[idx[i]] - g.centre[2];
+      }
+
+      collect(g);
+      local.node_interactions += ni * g.pseudo;
+      local.p2p_interactions += ni * (g.sx.size() - g.pseudo);
+      k.evaluate(g.sx, g.sy, g.sz, g.sm, params, poly, use_simd);
+      for (std::size_t i = 0; i < ni; ++i) {
+        ax[idx[i]] += k.gx[i];
+        ay[idx[i]] += k.gy[i];
+        az[idx[i]] += k.gz[i];
+      }
     }
+
+#ifdef _OPENMP
+#pragma omp critical
+#endif
+    {
+      total.p2p_interactions += local.p2p_interactions;
+      total.node_interactions += local.node_interactions;
+    }
+  }
+  if (stats) {
+    stats->p2p_interactions += total.p2p_interactions;
+    stats->node_interactions += total.node_interactions;
   }
 }
 

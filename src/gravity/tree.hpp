@@ -3,10 +3,15 @@
 // The tree covers the periodic box; pair separations use the minimum-image
 // convention, which is exact as long as the short-range cutoff radius is
 // below half the box (the TreePM split guarantees that by construction).
-// Node acceptance uses the classic s/d < theta multipole acceptance
-// criterion with monopole moments; accepted nodes and leaf particles are
-// batched into per-target interaction lists evaluated by the PP kernel
-// (scalar reference or SIMD).
+//
+// Forces are evaluated per target group in the style of Barnes' vectorised
+// walk (the Phantom-GRAPE layout of the paper): the tree's own leaves are
+// the groups, one walk per group opens or prunes nodes against the group's
+// bounding box, and the shared interaction list (monopole pseudo-particles
+// plus leaf particles, staged relative to the group centre) feeds the PP
+// kernel with ni = group size.  Groups are independent, so the loop over
+// them runs on OpenMP threads and the result does not depend on the thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +22,11 @@
 
 namespace v6d::gravity {
 
+/// Pair evaluations the PP kernel performed, by source kind; their sum is
+/// the kernel's total work.
 struct TreeStats {
-  std::uint64_t p2p_interactions = 0;  // particle-particle pairs evaluated
-  std::uint64_t node_interactions = 0; // accepted pseudo-particles
+  std::uint64_t p2p_interactions = 0;   // target-particle pairs
+  std::uint64_t node_interactions = 0;  // target-pseudo-particle pairs
 };
 
 class BarnesHutTree {
@@ -31,7 +38,9 @@ class BarnesHutTree {
   /// Accumulate (+=) short-range accelerations at the given targets with
   /// G = 1 (callers scale by G).  `theta`: opening angle.  If params.rcut
   /// > 0, subtrees entirely beyond the cutoff are pruned — this is what
-  /// makes TreePM short-range walks O(N) per target.
+  /// makes TreePM short-range walks O(N) per target.  When the targets are
+  /// the tree's own particles and 0 < rcut < box/2 they are walked in leaf
+  /// groups; otherwise each target is a group of its own.
   void accumulate(const double* tx, const double* ty, const double* tz,
                   std::size_t nt, const PpKernelParams& params,
                   const CutoffPoly& poly, double theta, bool use_simd,
@@ -50,27 +59,29 @@ class BarnesHutTree {
 
  private:
   struct Node {
-    double cx, cy, cz;   // geometric center
-    double half;         // half side length
-    double comx, comy, comz;
+    double lo[3], hi[3];  // bounding box of the node's particles
+    double com[3];
+    double half;          // half side length of the octree cell
     double mass;
-    int children[8];     // index into nodes_, -1 if absent
-    int first, count;    // leaf particle range into perm_
+    int children[8];      // index into nodes_, -1 if absent
+    int first, count;     // leaf particle range into perm_
     bool leaf;
   };
+  struct Group;  // one target group's walk state (tree.cpp)
 
   int build(int first, int count, double cx, double cy, double cz,
             double half, int depth);
-  void walk(int node, double tx, double ty, double tz, double theta2,
-            double rcut, std::vector<float>& sx, std::vector<float>& sy,
-            std::vector<float>& sz, std::vector<float>& sm) const;
-  double min_image(double d) const;
+  /// Fills the group's interaction list: walks all 27 images of the root.
+  void collect(Group& group) const;
+  void walk(int node, const double offset[3], Group& group) const;
 
   const nbody::Particles* particles_;
   double box_;
   int leaf_size_;
-  std::vector<int> perm_;
+  std::vector<int> perm_;                // tree order -> particle index
+  std::vector<double> xs_, ys_, zs_;     // positions in tree order
   std::vector<Node> nodes_;
+  std::vector<int> leaves_;  // leaf node indices: the target groups
 };
 
 }  // namespace v6d::gravity

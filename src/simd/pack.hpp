@@ -187,7 +187,10 @@ inline Pack<T, N> median(Pack<T, N> a, Pack<T, N> b, Pack<T, N> c) {
   return a + minmod(b - a, c - a);
 }
 
-/// Element-wise square root (the fixed-trip loop lowers to vector sqrt).
+/// Element-wise square root.  The fixed-trip loop lowers to one vector
+/// sqrt only when math errno is off (the library builds with
+/// -fno-math-errno); otherwise GCC keeps a scalar sqrt plus errno fallback
+/// call per lane.
 template <class T, int N>
 inline Pack<T, N> sqrt(Pack<T, N> a) {
   Pack<T, N> r;
