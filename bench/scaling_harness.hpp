@@ -32,7 +32,7 @@
 #include "gravity/poisson.hpp"
 #include "hybrid/hybrid_solver.hpp"
 #include "mesh/decomposition.hpp"
-#include "mesh/halo.hpp"
+#include "mesh/halo_plan.hpp"
 #include "nbody/particles.hpp"
 #include "common/rng.hpp"
 #include "parallel/distributed_solver.hpp"
@@ -260,6 +260,7 @@ inline RealVlasovResult measure_real_vlasov(int ranks,
     f.fill(0.4f);
     mesh::Grid3D<double> accel(d.nx, d.ny, d.nz);
     accel.fill(0.06);
+    mesh::HaloPlan halo(cart, d, /*tag_base=*/300);
 
     comm.reset_traffic_counters();
     double comm_acc = 0.0;
@@ -271,7 +272,8 @@ inline RealVlasovResult measure_real_vlasov(int ranks,
                              vlasov::SweepKernel::kAuto);
       for (int axis = 0; axis < 3; ++axis) {
         Stopwatch cw;
-        mesh::exchange_phase_space_halo(f, cart);
+        halo.begin_axis(f, axis);
+        halo.finish_axis(f, axis);
         comm_acc += cw.seconds();
         advect_position_axis(f, axis, 0.35, vlasov::SweepKernel::kAuto);
       }
@@ -310,9 +312,9 @@ struct DistributedStepResult {
                                   // fold + slab waits) — the un-hidden part
   double interior_seconds = 0.0;  // ghost-independent interior sweeps
   double boundary_seconds = 0.0;  // boundary-shell sweeps (+ windows)
-  double full_seconds = 0.0;      // full-line sweeps (split disengaged:
-                                  // undecomposed/thin axes, or the
-                                  // V6D_OVERLAP_SPLIT heuristic)
+  double full_seconds = 0.0;      // full-line sweeps (every axis under
+                                  // overlap=false; undecomposed or thin
+                                  // axes under overlap=true)
   std::uint64_t bytes_per_rank = 0;  // all comm (halo + FFT + reductions)
   // Comm-layer counters (max over ranks, per step where noted):
   std::uint64_t msgs_per_rank = 0;        // p2p messages sent per step
@@ -402,8 +404,8 @@ inline DistributedStepResult measure_distributed_step(int ranks, int local_n,
     halo_time[r] = ds.timers().total("halo") / steps;
     pm_time[r] = ds.timers().total("pm") / steps;
     // Exposed comm = the blocked waits the overlap failed to hide.  The
-    // synchronous path has no wait buckets: everything it spends in the
-    // halo is exposed by construction.
+    // synchronous schedule runs nothing between begin and finish, so
+    // everything it spends in the halo is exposed by construction.
     halo_wait[r] =
         overlap ? ds.timers().total("halo-wait") / steps : halo_time[r];
     exposed_time[r] =

@@ -63,8 +63,9 @@ struct SimulationConfig {
                                    // meaningless for inproc)
   bool overlap = true;        // hide halo/fold/slab communication behind
                               // interior compute (bit-identical to the
-                              // synchronous reference path; off = PR-4
-                              // blocking exchanges, kept for comparison)
+                              // synchronous reference schedule; off =
+                              // every exchange finished right after it
+                              // begins, kept for comparison)
 
   // --- driver control ---
   int max_steps = 0;          // stop after this many total steps (0 = off)

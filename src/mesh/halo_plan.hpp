@@ -1,28 +1,30 @@
-// Precomputed plans + persistent buffers for the *overlapped* halo
-// exchanges of the distributed stepping path (paper §5.1.3: halo exchange
-// is the dominant non-compute cost; hiding it behind interior updates is
-// what makes the Fugaku runs scale).
+// Precomputed plans + persistent buffers for the halo exchanges of the
+// distributed stepping path (paper §5.1.3: halo exchange is the dominant
+// non-compute cost; hiding it behind interior updates is what makes the
+// Fugaku runs scale).
 //
-// mesh/halo.hpp keeps the blocking reference exchanges; the plans here
-// restructure the same data movement into begin/finish halves so the
+// Each plan splits one data movement into begin/finish halves so the
 // caller can advect interior cells (or accumulate local density) while the
-// face messages are in flight:
+// face messages are in flight.  They are the only implementation of these
+// exchanges: the synchronous (overlap=0) schedule calls begin and finish
+// back to back, the overlapped one puts independent compute between them.
+// Both walk the per-axis footprint of mesh/halo.hpp (AxisFace).
 //
-//  * HaloPlan — split single-axis phase-space exchange.  A position sweep
-//    along axis a reads only that axis' ghost blocks at interior
-//    transverse positions, so each sweep needs one face pair, not the full
-//    transitively-extended 3-axis exchange.  begin_axis() packs both faces
-//    into persistent buffers, posts the (buffered, non-blocking) sends and
-//    the receive handles; finish_axis() completes the receives and unpacks
+//  * HaloPlan — single-axis phase-space exchange.  A position sweep along
+//    axis a reads only that axis' ghost blocks at interior transverse
+//    positions, so each sweep needs one face pair, not a transitively
+//    extended 3-axis exchange.  begin_axis() packs both faces into
+//    persistent buffers, posts the (buffered, non-blocking) sends and the
+//    receive handles; finish_axis() completes the receives and unpacks
 //    into the axis ghosts.  Undecomposed axes do the local periodic wrap
 //    in begin_axis() (no communication to overlap).
 //
-//  * GridFoldPlan — split ghost-deposit fold.  begin() runs the fold from
-//    axis z down through any local-wrap axes and stops after posting the
-//    sends of the first decomposed axis; finish() completes that axis and
-//    runs the remaining ones.  The per-axis operations and summation
-//    order are exactly fold_grid_halo's, so the folded field is
-//    bit-identical to the blocking path.
+//  * GridFoldPlan — ghost-deposit fold.  begin() runs the fold from axis z
+//    down through any local-wrap axes and stops after posting the sends of
+//    the first decomposed axis; finish() completes that axis and runs the
+//    remaining ones.  The per-axis operations and summation order do not
+//    depend on what runs between the halves, so both schedules fold
+//    bit-identically.
 //
 // Both plans accumulate the time spent *blocked* waiting for messages
 // (take_wait()), which is the exposed communication cost the overlap
@@ -32,6 +34,7 @@
 #include "comm/cart.hpp"
 #include "common/aligned.hpp"
 #include "mesh/grid.hpp"
+#include "mesh/halo.hpp"
 #include "vlasov/phase_space.hpp"
 
 namespace v6d::mesh {
@@ -50,8 +53,7 @@ class HaloPlan {
   /// Plan the single-axis face exchanges for bricks of shape `dims` on
   /// `cart`.  `tag_base` must be distinct from every other exchange kind
   /// live on the same communicator.  Throws std::invalid_argument if a
-  /// decomposed axis is thinner than the ghost width (same rule as
-  /// exchange_phase_space_halo).
+  /// decomposed axis is thinner than the ghost width.
   HaloPlan(comm::CartTopology& cart, const vlasov::PhaseSpaceDims& dims,
            int tag_base);
 
@@ -87,16 +89,16 @@ class HaloPlan {
 
  private:
   void wrap_axis(vlasov::PhaseSpace& f, int axis) const;
-  void pack_face(const vlasov::PhaseSpace& f, int axis, int lo,
+  void pack_face(const vlasov::PhaseSpace& f, int axis, CellRange layers,
                  float* buf) const;
-  void unpack_face(vlasov::PhaseSpace& f, int axis, int lo,
+  void unpack_face(vlasov::PhaseSpace& f, int axis, CellRange layers,
                    const float* buf) const;
 
   comm::CartTopology* cart_ = nullptr;
   int tag_base_ = 0;
-  int ghost_ = 0;
   std::size_t block_ = 0;
   std::array<AxisPlan, 3> axes_{};
+  std::array<AxisFace, 3> faces_{};  // interior transverse footprints
   std::array<AlignedVector<float>, 3> send_lo_, send_hi_;
   AlignedVector<float> recv_buf_;
   std::array<comm::Communicator::RecvHandle, 3> pending_lo_, pending_hi_;
@@ -115,8 +117,8 @@ class GridFoldPlan {
   /// touch `grid` until finish().
   void begin(Grid3D<double>& grid);
   /// Complete the posted axis and fold the remaining ones (blocking, with
-  /// persistent buffers).  begin()/finish() together perform exactly
-  /// fold_grid_halo's operations in the same order.
+  /// persistent buffers).  Throws std::invalid_argument (from begin() or
+  /// here) if a decomposed axis is thinner than the ghost width.
   void finish(Grid3D<double>& grid);
 
   double take_wait() {
@@ -126,9 +128,9 @@ class GridFoldPlan {
   }
 
  private:
-  void fold_axis_wrap(Grid3D<double>& grid, int axis) const;
-  void post_axis(Grid3D<double>& grid, int axis);
-  void complete_axis(Grid3D<double>& grid, int axis);
+  static void fold_axis_wrap(Grid3D<double>& grid, const AxisFace& face);
+  void post_axis(Grid3D<double>& grid, const AxisFace& face);
+  void complete_axis(Grid3D<double>& grid, const AxisFace& face);
 
   comm::CartTopology* cart_ = nullptr;
   int tag_base_ = 0;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "common/trace.hpp"
 #include "mesh/halo.hpp"
@@ -18,29 +17,15 @@ namespace v6d::parallel {
 
 namespace {
 
-// Message-tag bases of the overlapped exchanges; distinct from each other
-// and from the blocking exchanges in mesh/halo.cpp (100/150/200), so an
-// in-flight overlapped message can never be claimed by a blocking call.
+// Message-tag bases of the exchange plans; distinct from each other and
+// from mesh::exchange_grid_halo's (150 + axis*4 + dir), so an in-flight
+// plan message can never be claimed by another exchange.
 constexpr int kPsHaloTagBase = 300;   // phase-space faces (axis*4 + dir)
 constexpr int kFoldCdmTagBase = 340;  // CDM density fold
 constexpr int kFoldNuTagBase = 360;   // neutrino density fold
 constexpr int kSlabCdmTagBase = 380;  // rho_cdm brick -> slab
 constexpr int kSlabNuTagBase = 384;   // rho_nu brick -> slab
 constexpr int kSlabOutTagBase = 388;  // force slab -> brick
-
-/// Should the overlapped drift split sweeps into interior + boundary
-/// shells?  The split buys latency hiding at the price of re-reading the
-/// stencil margins (up to (n + 6g) / (n + 2g) more strided loads per
-/// line), so it only pays when rank threads actually run concurrently.
-/// V6D_OVERLAP_SPLIT=on|off overrides; auto (default) asks the hardware.
-bool resolve_split_sweeps() {
-  if (const char* env = std::getenv("V6D_OVERLAP_SPLIT")) {
-    const std::string v(env);
-    if (v == "on" || v == "1") return true;
-    if (v == "off" || v == "0") return false;
-  }
-  return std::thread::hardware_concurrency() > 1;
-}
 
 /// Local phase-space brick of the global f: same geometry with the origin
 /// shifted to this rank's offset, interior blocks copied.
@@ -78,8 +63,7 @@ DistributedHybridSolver::DistributedHybridSolver(
       box_(global.box()),
       background_(global.background()),
       options_(global.options()),
-      overlap_(overlap),
-      split_sweeps_(overlap && resolve_split_sweeps()) {
+      overlap_(overlap) {
   const auto& gd = global.neutrinos().dims();
   has_nu_ = gd.total_interior() > 0;
 
@@ -123,8 +107,7 @@ DistributedHybridSolver::DistributedHybridSolver(
     ps_plan_ = mesh::HaloPlan(cart_, f_.dims(), kPsHaloTagBase);
   }
 
-  // Overlap plans (constructed unconditionally: cheap, and the sync path
-  // never touches them).
+  // Exchange plans: both schedules run on them.
   fold_cdm_ = mesh::GridFoldPlan(cart_, kFoldCdmTagBase);
   fold_nu_ = mesh::GridFoldPlan(cart_, kFoldNuTagBase);
   slab_cdm_x_ = SlabExchange(pm_dec_, pfft_, cart_, kSlabCdmTagBase);
@@ -135,13 +118,6 @@ DistributedHybridSolver::DistributedHybridSolver(
   // seam (resume path): recomputing it would only match to rounding.
   const auto sf = global.export_step_forces();
   if (sf.fresh) import_step_forces_global(sf);
-}
-
-vlasov::HaloFiller DistributedHybridSolver::halo_filler() {
-  return [this](vlasov::PhaseSpace& f) {
-    ScopedTimer t(timers_, "halo");
-    mesh::exchange_phase_space_halo(f, cart_);
-  };
 }
 
 bool DistributedHybridSolver::owns_particle(std::size_t i) const {
@@ -183,11 +159,6 @@ void DistributedHybridSolver::deposit_cdm_local() {
                 mesh::Assignment::kCic);
 }
 
-void DistributedHybridSolver::deposit_cdm_density() {
-  deposit_cdm_local();
-  mesh::fold_grid_halo(rho_cdm_, cart_);
-}
-
 void DistributedHybridSolver::compute_nu_moment() {
   // 0th moment of the local brick (heavy: reduces the full velocity cube
   // per spatial cell — the overlap partner of the CDM ghost fold).
@@ -214,12 +185,6 @@ void DistributedHybridSolver::inject_nu_density() {
         mesh::deposit(rho_nu_, patch_, px, py, pz, mass,
                       mesh::Assignment::kCic);
       }
-}
-
-void DistributedHybridSolver::deposit_nu_density() {
-  compute_nu_moment();
-  inject_nu_density();
-  mesh::fold_grid_halo(rho_nu_, cart_);
 }
 
 void DistributedHybridSolver::prepare_green_tables(
@@ -279,14 +244,21 @@ void DistributedHybridSolver::compute_forces(double a) {
   nu_opts.deconvolve_order = 0;
 
   // --- densities (deposit + ghost fold) ---
+  // The synchronous schedule finishes every exchange right after beginning
+  // it; the overlapped one puts independent compute between the halves.
   if (!overlap_) {
     {
       ScopedTimer t(timers_, "pm");
-      deposit_cdm_density();
+      deposit_cdm_local();
+      fold_cdm_.begin(rho_cdm_);
+      fold_cdm_.finish(rho_cdm_);
     }
     if (has_nu_) {
       ScopedTimer t(timers_, "vlasov-moments");
-      deposit_nu_density();
+      compute_nu_moment();
+      inject_nu_density();
+      fold_nu_.begin(rho_nu_);
+      fold_nu_.finish(rho_nu_);
     }
     {
       ScopedTimer t(timers_, "pm");
@@ -324,19 +296,17 @@ void DistributedHybridSolver::compute_forces(double a) {
     std::vector<fft::cplx>* slab_cdm = nullptr;
     std::vector<fft::cplx>* slab_nu = nullptr;
     if (!overlap_) {
-      slab_cdm_sync_ = brick_to_slab(rho_cdm_, pm_dec_, pfft_, cart_);
+      slab_cdm_x_.begin_to_slab(rho_cdm_);
+      slab_cdm = &slab_cdm_x_.finish_to_slab();
       {
         trace::Span fft_span("fft-forward");
-        pfft_.forward(slab_cdm_sync_);
+        pfft_.forward(*slab_cdm);
       }
-      slab_cdm = &slab_cdm_sync_;
       if (has_nu_) {
-        slab_nu_sync_ = brick_to_slab(rho_nu_, pm_dec_, pfft_, cart_);
-        {
-          trace::Span fft_span("fft-forward");
-          pfft_.forward(slab_nu_sync_);
-        }
-        slab_nu = &slab_nu_sync_;
+        slab_nu_x_.begin_to_slab(rho_nu_);
+        slab_nu = &slab_nu_x_.finish_to_slab();
+        trace::Span fft_span("fft-forward");
+        pfft_.forward(*slab_nu);
       }
     } else {
       // The CDM redistribution (and the still-flying nu fold) overlap the
@@ -393,7 +363,8 @@ void DistributedHybridSolver::compute_forces(double a) {
           pfft_.inverse_normalized(spec_);
         }
         if (!overlap_) {
-          slab_to_brick(spec_, pfft_, pm_dec_, cart_, *outs[d]);
+          slab_out_.begin_to_brick(spec_);
+          slab_out_.finish_to_brick(*outs[d]);
         } else {
           if (d > 0) {
             slab_out_.finish_to_brick(*outs[d - 1]);
@@ -451,12 +422,9 @@ void DistributedHybridSolver::compute_forces(double a) {
           }
     }
   }
-  if (overlap_) {
-    timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
-    timers_.add("slab-wait", slab_cdm_x_.take_wait() +
-                                 slab_nu_x_.take_wait() +
-                                 slab_out_.take_wait());
-  }
+  timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
+  timers_.add("slab-wait", slab_cdm_x_.take_wait() + slab_nu_x_.take_wait() +
+                               slab_out_.take_wait());
 
   // --- tree short-range: replicated over the replicated particle set,
   //     identical on every rank (the serial solver's exact block) ---
@@ -470,20 +438,14 @@ void DistributedHybridSolver::compute_forces(double a) {
 
 void DistributedHybridSolver::drift(double drift_factor) {
   if (drift_factor == 0.0) return;
-  if (!overlap_) {
-    // Synchronous reference: full (3-axis, transitively extended) halo
-    // refill before every axis sweep.
-    vlasov::drift_full(f_, drift_factor, options_.kernel, halo_filler());
-    return;
-  }
-  // Overlapped pipeline, same operator sequence and subcycling as
-  // vlasov::drift_full: per axis, post the single-axis face exchange,
-  // advect the ghost-independent interior while the messages fly, then
-  // complete the exchange and sweep the two boundary shells from their
-  // pre-sweep windows.  Bit-identical to the reference because a position
-  // sweep along an axis reads only that axis' ghosts at interior
-  // transverse positions, and every restricted range sees the same
-  // stencil values as the full-line sweep.
+  // Same operator sequence and subcycling as vlasov::drift_full.  A
+  // position sweep along an axis reads only that axis' ghosts at interior
+  // transverse positions, so one face pair of ps_plan_ feeds each sweep.
+  // Split axes of the overlapped schedule advect the ghost-independent
+  // interior while the faces fly, then complete the exchange and sweep
+  // the two boundary shells from their pre-sweep windows — bit-identical
+  // to the full-line sweep, since every restricted range sees the same
+  // stencil values.
   const double max_shift = vlasov::max_position_shift(f_, drift_factor);
   const int cycles =
       std::max(1, static_cast<int>(std::ceil(max_shift / 0.999)));
@@ -492,11 +454,11 @@ void DistributedHybridSolver::drift(double drift_factor) {
   for (int axis : {2, 1, 0}) {
     const auto& ap = ps_plan_.axis(axis);
     for (int c = 0; c < cycles; ++c) {
-      if (!ap.split || !split_sweeps_) {
-        // Undecomposed (local wrap), thinner than 2*ghost, or the split
-        // heuristic disengaged: run the lean exchange blocking, then the
-        // full-line sweep.  Timed under its own bucket so the
-        // interior/boundary metrics always describe the split pipeline
+      if (!overlap_ || !ap.split) {
+        // Synchronous schedule, or an axis the plan does not split
+        // (undecomposed: local wrap; thinner than 2*ghost): complete the
+        // exchange, then the full-line sweep.  Timed under its own bucket
+        // so the interior/boundary metrics describe the split pipeline
         // alone.
         {
           ScopedTimer t(timers_, "halo");
@@ -684,6 +646,16 @@ void DistributedHybridSolver::gather_into(hybrid::HybridSolver& global,
         if (buf.size() < sizeof(header))
           throw std::runtime_error("gather_into: truncated brick message");
         std::memcpy(header, buf.data(), sizeof(header));
+        // The header decides where rank 0 writes: a brick that does not
+        // lie inside the global grid is a corrupt frame, not a placement.
+        const int global_n[3] = {gf.dims().nx, gf.dims().ny, gf.dims().nz};
+        for (int a = 0; a < 3; ++a) {
+          const std::int64_t offset = header[a], extent = header[3 + a];
+          if (offset < 0 || extent <= 0 || offset + extent > global_n[a])
+            throw std::runtime_error(
+                "gather_into: brick placement header from rank " +
+                std::to_string(r) + " lies outside the global grid");
+        }
         std::size_t at = sizeof(header);
         if (buf.size() != sizeof(header) +
                               static_cast<std::size_t>(header[3]) *

@@ -33,7 +33,6 @@
 #include "fft/parallel_fft.hpp"
 #include "mesh/decomposition.hpp"
 #include "mesh/grid.hpp"
-#include "mesh/halo.hpp"
 #include "mesh/halo_plan.hpp"
 #include "parallel/field_exchange.hpp"
 #include "vlasov/phase_space.hpp"
@@ -383,20 +382,23 @@ TEST(CommStress, ConcurrentPlanBeginFinishInterleavings) {
     for (int round = 0; round < kRounds; ++round) {
       fill_brick(f, setup.dec, kGlobal);
 
-      // Deterministic per-cell deposit including ghosts, so the fold
-      // reference is computable on a copy.
+      // Deterministic per-(rank, cell) deposit including ghosts, so every
+      // rank can assemble the fold reference for the whole world.  Values
+      // are multiples of 1/16, which double sums exactly in any order.
+      const auto deposit = [&](int rank, int i, int j, int k) {
+        return static_cast<double>(
+                   hash_mix(static_cast<std::uint64_t>(rank + 1) * 1000000u +
+                            static_cast<std::uint64_t>((i + 2) * 10000 +
+                                                       (j + 2) * 100 +
+                                                       (k + 2)) +
+                            static_cast<std::uint64_t>(round) * 77u) %
+                   1024) /
+               16.0;
+      };
       for (int i = -2; i < fold_grid.nx() + 2; ++i)
         for (int j = -2; j < fold_grid.ny() + 2; ++j)
           for (int k = -2; k < fold_grid.nz() + 2; ++k)
-            fold_grid.at(i, j, k) =
-                static_cast<double>(hash_mix(
-                    static_cast<std::uint64_t>(comm.rank() + 1) * 1000000u +
-                    static_cast<std::uint64_t>((i + 2) * 10000 +
-                                               (j + 2) * 100 + (k + 2)) +
-                    static_cast<std::uint64_t>(round) * 77u) %
-                    1024) /
-                16.0;
-      mesh::Grid3D<double> fold_ref = fold_grid;
+            fold_grid.at(i, j, k) = deposit(comm.rank(), i, j, k);
 
       for (int i = 0; i < slab_brick.nx(); ++i)
         for (int j = 0; j < slab_brick.ny(); ++j)
@@ -433,13 +435,28 @@ TEST(CommStress, ConcurrentPlanBeginFinishInterleavings) {
         expect_face(f, setup.dec, kGlobal, axis, /*low_side=*/false);
       }
 
-      // Fold must match the blocking reference (bit-identical contract).
-      comm.barrier();  // separate plan traffic from the blocking reference
-      mesh::fold_grid_halo(fold_ref, cart);
+      // Fold must match the global periodic sum of every rank's extended
+      // deposit region, bit for bit.
+      mesh::Grid3D<double> fold_ref(kGlobal, kGlobal, kGlobal);
+      for (int r = 0; r < kRanks; ++r) {
+        const mesh::BrickDecomposition d({kGlobal, kGlobal, kGlobal},
+                                         cart.dims(), cart.coords_of(r));
+        const auto wrap = [&](int x, int a) {
+          return ((d.offset(a) + x) % kGlobal + kGlobal) % kGlobal;
+        };
+        for (int i = -2; i < d.local_n(0) + 2; ++i)
+          for (int j = -2; j < d.local_n(1) + 2; ++j)
+            for (int k = -2; k < d.local_n(2) + 2; ++k)
+              fold_ref.at(wrap(i, 0), wrap(j, 1), wrap(k, 2)) +=
+                  deposit(r, i, j, k);
+      }
       for (int i = 0; i < fold_grid.nx(); ++i)
         for (int j = 0; j < fold_grid.ny(); ++j)
           for (int k = 0; k < fold_grid.nz(); ++k)
-            ASSERT_EQ(fold_grid.at(i, j, k), fold_ref.at(i, j, k));
+            ASSERT_EQ(fold_grid.at(i, j, k),
+                      fold_ref.at(setup.dec.offset(0) + i,
+                                  setup.dec.offset(1) + j,
+                                  setup.dec.offset(2) + k));
 
       // Slab rows must hold the global field; round-trip restores bricks.
       ASSERT_NE(slab_data, nullptr);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,6 +17,78 @@ using namespace v6d;
 float cell_value(int gx, int gy, int gz, std::size_t v) {
   return static_cast<float>(gx * 10000 + gy * 100 + gz) +
          static_cast<float>(v) * 1e-4f;
+}
+
+// Run the lean per-axis phase-space exchange on every axis (begin and
+// finish back to back, the synchronous schedule).
+void exchange_all_axes(mesh::HaloPlan& plan, vlasov::PhaseSpace& f) {
+  for (int axis = 0; axis < 3; ++axis) {
+    plan.begin_axis(f, axis);
+    plan.finish_axis(f, axis);
+  }
+}
+
+// After exchange_all_axes on a zero-initialised brick: every face ghost
+// (exactly one coordinate outside the interior) holds the global periodic
+// field, and the edge/corner ghosts no sweep reads stay untouched.
+void expect_face_ghosts_match_global(const vlasov::PhaseSpace& f,
+                                     const std::array<int, 3>& offset,
+                                     const std::array<int, 3>& global,
+                                     int rank) {
+  const auto& dims = f.dims();
+  const int g = dims.ghost;
+  const int n[3] = {dims.nx, dims.ny, dims.nz};
+  for (int i = -g; i < dims.nx + g; ++i)
+    for (int j = -g; j < dims.ny + g; ++j)
+      for (int k = -g; k < dims.nz + g; ++k) {
+        const int idx[3] = {i, j, k};
+        int outside = 0;
+        for (int a = 0; a < 3; ++a)
+          outside += idx[a] < 0 || idx[a] >= n[a] ? 1 : 0;
+        if (outside == 0) continue;
+        int gidx[3];
+        for (int a = 0; a < 3; ++a) {
+          const int m = global[static_cast<std::size_t>(a)];
+          gidx[a] = ((offset[static_cast<std::size_t>(a)] + idx[a]) % m + m) %
+                    m;
+        }
+        const float* blk = f.block(i, j, k);
+        for (std::size_t v = 0; v < f.block_size(); ++v)
+          ASSERT_FLOAT_EQ(blk[v], outside == 1
+                                      ? cell_value(gidx[0], gidx[1], gidx[2], v)
+                                      : 0.0f)
+              << "rank " << rank << " cell " << i << "," << j << "," << k;
+      }
+}
+
+// Independent fold reference: every rank's extended region (interior +
+// ghosts) added onto the periodic global grid.  Callers deposit dyadic
+// values, which double sums exactly in any order, so the reference is
+// exact however the fold orders its additions.
+template <class Deposit>
+mesh::Grid3D<double> global_periodic_sum(comm::CartTopology& cart,
+                                         const std::array<int, 3>& global,
+                                         int ghost, Deposit&& deposit) {
+  mesh::Grid3D<double> sum(global[0], global[1], global[2]);
+  for (int r = 0; r < cart.comm().size(); ++r) {
+    const mesh::BrickDecomposition d(global, cart.dims(), cart.coords_of(r));
+    const auto wrap = [&](int x, int a) {
+      const int m = global[static_cast<std::size_t>(a)];
+      return ((d.offset(a) + x) % m + m) % m;
+    };
+    for (int i = -ghost; i < d.local_n(0) + ghost; ++i)
+      for (int j = -ghost; j < d.local_n(1) + ghost; ++j)
+        for (int k = -ghost; k < d.local_n(2) + ghost; ++k)
+          sum.at(wrap(i, 0), wrap(j, 1), wrap(k, 2)) += deposit(r, i, j, k);
+  }
+  return sum;
+}
+
+// Dyadic per-(rank, cell) deposit: distinct enough to catch misplaced
+// contributions, exact under any summation order.
+double dyadic_deposit(int rank, int i, int j, int k) {
+  return 1.0 + rank / 8.0 + (i + 4) / 64.0 + (j + 4) / 512.0 +
+         (k + 4) / 4096.0;
 }
 
 class HaloRanks : public ::testing::TestWithParam<int> {};
@@ -45,22 +118,11 @@ TEST_P(HaloRanks, PhaseSpaceHaloMatchesGlobalPeriodicField) {
                                 dec.offset(2) + k, v);
         }
 
-    mesh::exchange_phase_space_halo(f, cart);
-
-    const int g = dims.ghost;
-    auto wrap = [&](int i) { return ((i % n_global) + n_global) % n_global; };
-    for (int i = -g; i < dims.nx + g; ++i)
-      for (int j = -g; j < dims.ny + g; ++j)
-        for (int k = -g; k < dims.nz + g; ++k) {
-          const float* blk = f.block(i, j, k);
-          const int gx = wrap(dec.offset(0) + i);
-          const int gy = wrap(dec.offset(1) + j);
-          const int gz = wrap(dec.offset(2) + k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            ASSERT_FLOAT_EQ(blk[v], cell_value(gx, gy, gz, v))
-                << "rank " << comm.rank() << " cell " << i << "," << j << ","
-                << k;
-        }
+    mesh::HaloPlan plan(cart, dims, 900);
+    exchange_all_axes(plan, f);
+    expect_face_ghosts_match_global(
+        f, {dec.offset(0), dec.offset(1), dec.offset(2)},
+        {n_global, n_global, n_global}, comm.rank());
   });
 }
 
@@ -106,7 +168,9 @@ TEST_P(HaloRanks, FoldHaloAccumulatesDepositsOnce) {
     for (int i = -1; i < grid.nx() + 1; ++i)
       for (int j = -1; j < grid.ny() + 1; ++j)
         for (int k = -1; k < grid.nz() + 1; ++k) grid.at(i, j, k) = 1.0;
-    mesh::fold_grid_halo(grid, cart);
+    mesh::GridFoldPlan fold(cart, 940);
+    fold.begin(grid);
+    fold.finish(grid);
 
     // Each global cell collects one contribution per covering *image* of
     // every rank's extended region (interior + 1-cell ghost ring); with
@@ -158,8 +222,7 @@ TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
                   dims.ny = dec.local_n(1);
                   dims.nz = dec.local_n(2);
                   dims.nux = dims.nuy = dims.nuz = 2;
-                  vlasov::PhaseSpace f(dims, vlasov::PhaseSpaceGeometry{});
-                  mesh::exchange_phase_space_halo(f, cart);
+                  mesh::HaloPlan plan(cart, dims, 900);
                 }),
       std::invalid_argument);
 
@@ -177,7 +240,9 @@ TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
                 [&](comm::Communicator& comm) {
                   comm::CartTopology cart(comm, {4, 1, 1});
                   mesh::Grid3D<double> grid(1, 8, 8, 2);
-                  mesh::fold_grid_halo(grid, cart);
+                  mesh::GridFoldPlan fold(cart, 940);
+                  fold.begin(grid);
+                  fold.finish(grid);
                 }),
       std::invalid_argument);
 }
@@ -206,21 +271,10 @@ TEST(HaloValidation, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
             blk[v] = cell_value(dec.offset(0) + i, j, k, v);
         }
 
-    mesh::exchange_phase_space_halo(f, cart);
-
-    const int g = dims.ghost;
-    auto wrap = [](int i, int n) { return ((i % n) + n) % n; };
-    for (int i = -g; i < dims.nx + g; ++i)
-      for (int j = -g; j < dims.ny + g; ++j)
-        for (int k = -g; k < dims.nz + g; ++k) {
-          const float* blk = f.block(i, j, k);
-          const int gx = wrap(dec.offset(0) + i, n_global);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            ASSERT_FLOAT_EQ(blk[v],
-                            cell_value(gx, wrap(j, thin), wrap(k, thin), v))
-                << "rank " << comm.rank() << " cell " << i << "," << j << ","
-                << k;
-        }
+    mesh::HaloPlan plan(cart, dims, 900);
+    exchange_all_axes(plan, f);
+    expect_face_ghosts_match_global(f, {dec.offset(0), 0, 0},
+                                    {n_global, thin, thin}, comm.rank());
   });
 }
 
@@ -242,7 +296,9 @@ TEST(HaloValidation, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
     const double deposited =
         static_cast<double>(grid.nx() + 2 * ghost) * (thin + 2 * ghost) *
         (thin + 2 * ghost);
-    mesh::fold_grid_halo(grid, cart);
+    mesh::GridFoldPlan fold(cart, 940);
+    fold.begin(grid);
+    fold.finish(grid);
 
     // Images of global index g covered by an extended region of extent
     // `local` at `off` along an axis of global size `n` (multi-wrap aware).
@@ -383,64 +439,71 @@ TEST(HaloPlan, RejectsDecomposedAxisThinnerThanGhost) {
       std::invalid_argument);
 }
 
-TEST(GridFoldPlan, SplitFoldIsBitIdenticalToBlockingFold) {
-  // Same deposits, two fold paths: begin/finish (with arbitrary local
-  // work between) must reproduce fold_grid_halo exactly — same summation
-  // order, so bit-for-bit equality, not just tolerance.
-  const int n_global = 8;
+TEST(GridFoldPlan, SplitFoldMatchesGlobalPeriodicSum) {
+  // begin/finish with local work between the halves must put every
+  // deposit, ghosts included, onto its periodic owner exactly once: the
+  // folded interior equals the independently assembled global sum bit for
+  // bit, and the ghosts are drained to zero.
+  const int n_global = 8, ghost = 2;
   for (int p : {1, 2, 4, 8}) {
     comm::run(p, [&](comm::Communicator& comm) {
       comm::CartTopology cart(comm, comm::CartTopology::choose_dims(p));
       mesh::BrickDecomposition dec({n_global, n_global, n_global},
                                    cart.dims(), cart.coords());
-      mesh::Grid3D<double> blocking(dec.local_n(0), dec.local_n(1),
-                                    dec.local_n(2), 2);
-      for (int i = -2; i < blocking.nx() + 2; ++i)
-        for (int j = -2; j < blocking.ny() + 2; ++j)
-          for (int k = -2; k < blocking.nz() + 2; ++k)
-            blocking.at(i, j, k) =
-                0.1 * comm.rank() + 1e-3 * i + 7e-5 * j + 3e-6 * k + 1.0;
-      mesh::Grid3D<double> split = blocking;
-
-      mesh::fold_grid_halo(blocking, cart);
+      mesh::Grid3D<double> grid(dec.local_n(0), dec.local_n(1),
+                                dec.local_n(2), ghost);
+      for (int i = -ghost; i < grid.nx() + ghost; ++i)
+        for (int j = -ghost; j < grid.ny() + ghost; ++j)
+          for (int k = -ghost; k < grid.nz() + ghost; ++k)
+            grid.at(i, j, k) = dyadic_deposit(comm.rank(), i, j, k);
+      const auto expected = global_periodic_sum(
+          cart, {n_global, n_global, n_global}, ghost, dyadic_deposit);
 
       mesh::GridFoldPlan plan(cart, 940);
-      plan.begin(split);
+      plan.begin(grid);
       double sink = 0.0;  // "interior work" between the halves
       for (int w = 0; w < 100; ++w) sink += std::sqrt(1.0 + w);
-      plan.finish(split);
+      plan.finish(grid);
       ASSERT_GT(sink, 0.0);
 
-      for (int i = -2; i < blocking.nx() + 2; ++i)
-        for (int j = -2; j < blocking.ny() + 2; ++j)
-          for (int k = -2; k < blocking.nz() + 2; ++k)
-            ASSERT_EQ(split.at(i, j, k), blocking.at(i, j, k))
+      for (int i = -ghost; i < grid.nx() + ghost; ++i)
+        for (int j = -ghost; j < grid.ny() + ghost; ++j)
+          for (int k = -ghost; k < grid.nz() + ghost; ++k) {
+            const bool interior = i >= 0 && i < grid.nx() && j >= 0 &&
+                                  j < grid.ny() && k >= 0 && k < grid.nz();
+            ASSERT_EQ(grid.at(i, j, k),
+                      interior ? expected.at(dec.offset(0) + i,
+                                             dec.offset(1) + j,
+                                             dec.offset(2) + k)
+                               : 0.0)
                 << p << " ranks, cell " << i << " " << j << " " << k;
+          }
     });
   }
 }
 
-TEST(GridFoldPlan, ThinUndecomposedAxesMatchBlockingFold) {
+TEST(GridFoldPlan, ThinUndecomposedAxesMatchGlobalPeriodicSum) {
   // The quasi-1D two_stream shape: y/z wrap multiple times locally.
-  const int nx = 8, thin = 2;
+  const int nx = 8, thin = 2, ghost = 2;
   comm::run(2, [&](comm::Communicator& comm) {
     comm::CartTopology cart(comm, {2, 1, 1});
     mesh::BrickDecomposition dec({nx, thin, thin}, cart.dims(),
                                  cart.coords());
-    mesh::Grid3D<double> blocking(dec.local_n(0), thin, thin, 2);
-    for (int i = -2; i < blocking.nx() + 2; ++i)
-      for (int j = -2; j < thin + 2; ++j)
-        for (int k = -2; k < thin + 2; ++k)
-          blocking.at(i, j, k) = 1.0 + 0.01 * i + 0.1 * j + 0.3 * k;
-    mesh::Grid3D<double> split = blocking;
-    mesh::fold_grid_halo(blocking, cart);
+    mesh::Grid3D<double> grid(dec.local_n(0), thin, thin, ghost);
+    for (int i = -ghost; i < grid.nx() + ghost; ++i)
+      for (int j = -ghost; j < thin + ghost; ++j)
+        for (int k = -ghost; k < thin + ghost; ++k)
+          grid.at(i, j, k) = dyadic_deposit(comm.rank(), i, j, k);
+    const auto expected =
+        global_periodic_sum(cart, {nx, thin, thin}, ghost, dyadic_deposit);
     mesh::GridFoldPlan plan(cart, 940);
-    plan.begin(split);
-    plan.finish(split);
-    for (int i = -2; i < blocking.nx() + 2; ++i)
-      for (int j = -2; j < thin + 2; ++j)
-        for (int k = -2; k < thin + 2; ++k)
-          ASSERT_EQ(split.at(i, j, k), blocking.at(i, j, k));
+    plan.begin(grid);
+    plan.finish(grid);
+    for (int i = 0; i < grid.nx(); ++i)
+      for (int j = 0; j < thin; ++j)
+        for (int k = 0; k < thin; ++k)
+          ASSERT_EQ(grid.at(i, j, k), expected.at(dec.offset(0) + i, j, k))
+              << i << " " << j << " " << k;
   });
 }
 

@@ -4,7 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -106,7 +107,9 @@ TEST(FieldExchange, BrickSlabRoundTripPreservesValues) {
                                 (dec.offset(1) + j) * 1e2 +
                                 (dec.offset(2) + k);
       fft::ParallelFft3D pfft(comm, n);
-      auto slab = parallel::brick_to_slab(brick, dec, pfft, cart);
+      parallel::SlabExchange exchange(dec, pfft, cart, 980);
+      exchange.begin_to_slab(brick);
+      const auto& slab = exchange.finish_to_slab();
       // The slab must hold the global field rows this rank owns.
       for (int x = 0; x < pfft.local_nx(); ++x)
         for (int y = 0; y < n; ++y)
@@ -119,7 +122,8 @@ TEST(FieldExchange, BrickSlabRoundTripPreservesValues) {
           }
       mesh::Grid3D<double> back(dec.local_n(0), dec.local_n(1),
                                 dec.local_n(2), 2);
-      parallel::slab_to_brick(slab, pfft, dec, cart, back);
+      exchange.begin_to_brick(slab);
+      exchange.finish_to_brick(back);
       for (int i = 0; i < brick.nx(); ++i)
         for (int j = 0; j < brick.ny(); ++j)
           for (int k = 0; k < brick.nz(); ++k)
@@ -304,9 +308,11 @@ TEST(DistributedConservation, PositionSweepsConserveMassAcrossRanks) {
                                        0.9f * (dec.offset(2) + k) + 0.05f * v);
           }
       const double m0 = comm.allreduce_sum(f.total_mass());
+      mesh::HaloPlan plan(cart, dims, 960);
       for (int s = 0; s < 3; ++s)
         for (int axis : {2, 1, 0}) {
-          mesh::exchange_phase_space_halo(f, cart);
+          plan.begin_axis(f, axis);
+          plan.finish_axis(f, axis);
           vlasov::advect_position_axis(f, axis, 0.37, vlasov::SweepKernel::kAuto);
         }
       const double m1 = comm.allreduce_sum(f.total_mass());
@@ -320,14 +326,6 @@ TEST(DistributedConservation, PositionSweepsConserveMassAcrossRanks) {
 // ---------------------------------------------------------------------------
 // Overlapped vs synchronous stepping (exact equality)
 // ---------------------------------------------------------------------------
-
-// Force the interior/boundary sweep split on (its auto heuristic backs
-// off to lean blocking exchanges on single-hardware-thread hosts), so
-// these tests always exercise the full overlap pipeline.
-struct ScopedSplitOn {
-  ScopedSplitOn() { setenv("V6D_OVERLAP_SPLIT", "on", 1); }
-  ~ScopedSplitOn() { unsetenv("V6D_OVERLAP_SPLIT"); }
-};
 
 // The overlapped pipeline restructures *when* communication happens, never
 // what is computed: every stage performs the same floating-point
@@ -353,7 +351,6 @@ void expect_runs_bit_identical(const RunOutcome& a, const RunOutcome& b) {
 }
 
 TEST_P(DistributedRanks, OverlapBitIdenticalVlasovOnly) {
-  ScopedSplitOn split_on;
   const int p = GetParam();
   auto sync_cfg = make_cfg("vlasov_only", {{"nx", "8"},
                                            {"nu", "6"},
@@ -369,7 +366,6 @@ TEST_P(DistributedRanks, OverlapBitIdenticalVlasovOnly) {
 }
 
 TEST_P(DistributedRanks, OverlapBitIdenticalNeutrinoBox) {
-  ScopedSplitOn split_on;
   const int p = GetParam();
   auto sync_cfg = make_cfg("neutrino_box", {{"nx", "8"},
                                             {"nu", "6"},
@@ -386,7 +382,6 @@ TEST_P(DistributedRanks, OverlapBitIdenticalNeutrinoBox) {
 }
 
 TEST(DistributedOverlap, BitIdenticalAcrossThinTwoStreamAxes) {
-  ScopedSplitOn split_on;
   // ny = nz = 2 < 2*ghost: the overlapped drift must fall back to the
   // blocking full-line path on the thin (undecomposed, wrap-filled) axes
   // while still splitting the decomposed x axis — and stay bit-identical.
@@ -463,6 +458,52 @@ TEST(DistributedMoments, LocalDensityBricksAssembleToSerialDensity) {
         for (int k = 0; k < serial.nz(); ++k)
           ASSERT_DOUBLE_EQ(global.at(i, j, k), serial.at(i, j, k));
   });
+}
+
+TEST(DistributedGather, RejectsPlacementHeaderOutsideGlobalGrid) {
+  // gather_into(via_messages) places each peer's brick by the offsets and
+  // extents in its message header.  A corrupt frame whose payload size
+  // agrees with its header but whose placement does not lie inside the
+  // global grid must be refused, not copied out of bounds.
+  auto cfg = make_cfg("vlasov_only",
+                      {{"nx", "8"}, {"nu", "4"}, {"checkpoint_dir", ""}});
+  cfg.ranks = 2;
+  driver::Driver d(cfg);
+  const auto dims = driver::resolve_run_decomp(cfg, d.solver());
+  constexpr int kGatherTag = 0x6a7;  // gather_into's brick message tag
+  const std::int32_t forged[][6] = {
+      {6, 0, 0, 4, 8, 8},     // overruns x by two cells
+      {0, 0, 0, 0, 8, 8},     // empty extent
+      {-4, 0, 0, 4, 8, 8},    // negative offset
+      {1000, 0, 0, 4, 8, 8},  // far outside the grid
+  };
+  for (const auto& header : forged) {
+    try {
+      comm::run(2, [&](comm::Communicator& comm) {
+        parallel::DistributedHybridSolver ds(d.solver(), comm, dims);
+        comm.barrier();  // every rank has sharded before rank 0 writes
+        if (comm.rank() == 0) {
+          ds.gather_into(d.solver(), /*via_messages=*/true);
+          FAIL() << "gather_into accepted a forged placement header";
+        }
+        const std::size_t bytes = ds.local_f().block_size() * sizeof(float);
+        std::vector<std::uint8_t> frame(
+            sizeof(header) + static_cast<std::size_t>(header[3]) * header[4] *
+                                 header[5] * bytes);
+        std::memcpy(frame.data(), header, sizeof(header));
+        comm.send_bytes(0, kGatherTag, frame.data(), frame.size());
+        // gather_into's collective tail: if rank 0 accepted the frame it
+        // returns (and the test fails) instead of waiting here forever.
+        ds.export_step_forces_global();
+        comm.barrier();
+      });
+      ADD_FAILURE() << "run() must rethrow rank 0's error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("placement header"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "vlasov/moments.hpp"
@@ -106,6 +108,70 @@ TEST_P(SweepKernels, MatchesScalarReference) {
           worst = std::max(worst, std::fabs(a[v] - b[v]));
       }
   EXPECT_LT(worst, 5e-6f);
+}
+
+TEST_P(SweepKernels, PositionSweepReadsOnlyItsAxisFaceGhosts) {
+  // The distributed drift exchanges, per sweep along axis a, only a's
+  // ghost layers at interior transverse positions (mesh::HaloPlan).  That
+  // is sound only if the sweep reads nothing else: with every other ghost
+  // (other axes' faces, edges, corners) poisoned with NaN the result must
+  // match the fully filled halo bit for bit.
+  PhaseSpaceDims d;
+  d.nx = 7;
+  d.ny = 6;
+  d.nz = 5;
+  d.nux = d.nuy = d.nuz = 4;
+  PhaseSpaceGeometry geom;
+  geom.dx = 1.0;
+  geom.dy = 1.25;
+  geom.dz = 0.75;
+  geom.umax = 1.0;
+  geom.dux = geom.duy = geom.duz = 0.5;
+  PhaseSpace f(d, geom);
+  for (int ix = 0; ix < d.nx; ++ix)
+    for (int iy = 0; iy < d.ny; ++iy)
+      for (int iz = 0; iz < d.nz; ++iz) {
+        float* blk = f.block(ix, iy, iz);
+        for (std::size_t v = 0; v < f.block_size(); ++v)
+          blk[v] = static_cast<float>(
+              0.5 + 0.4 * std::sin(1.3 * ix + 2.1 * iy + 0.7 * iz + 0.37 * v));
+        blk[(ix + iy + iz) % f.block_size()] = 2.0f;  // sharp features
+      }
+  f.fill_ghosts_periodic();
+
+  const int g = d.ghost;
+  const int n[3] = {d.nx, d.ny, d.nz};
+  const double dxs[3] = {geom.dx, geom.dy, geom.dz};
+  for (int axis = 0; axis < 3; ++axis) {
+    PhaseSpace full = f;
+    PhaseSpace lean = f;
+    for (int i = -g; i < d.nx + g; ++i)
+      for (int j = -g; j < d.ny + g; ++j)
+        for (int k = -g; k < d.nz + g; ++k) {
+          // Keep the interior and the axis' own face ghosts; poison every
+          // cell outside the interior along a transverse axis.
+          const int idx[3] = {i, j, k};
+          bool transverse_ghost = false;
+          for (int a = 0; a < 3; ++a)
+            if (a != axis && (idx[a] < 0 || idx[a] >= n[a]))
+              transverse_ghost = true;
+          if (transverse_ghost) {
+            float* blk = lean.block(i, j, k);
+            for (std::size_t v = 0; v < lean.block_size(); ++v)
+              blk[v] = std::numeric_limits<float>::quiet_NaN();
+          }
+        }
+    const double drift = 0.9 * dxs[axis] / geom.umax;
+    advect_position_axis(full, axis, drift, GetParam());
+    advect_position_axis(lean, axis, drift, GetParam());
+    for (int ix = 0; ix < d.nx; ++ix)
+      for (int iy = 0; iy < d.ny; ++iy)
+        for (int iz = 0; iz < d.nz; ++iz)
+          ASSERT_EQ(std::memcmp(full.block(ix, iy, iz), lean.block(ix, iy, iz),
+                                full.block_size() * sizeof(float)),
+                    0)
+              << "axis " << axis << " cell " << ix << "," << iy << "," << iz;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, SweepKernels,

@@ -8,7 +8,7 @@ separate internal mailbox, but a single-tag-space backend — real MPI —
 must map its op-sequence tags into the reserved range).  Every tag a user
 passes to `send`/`recv`/`irecv`/`sendrecv` must therefore resolve to a
 value >= kFirstUserTag, and the tag *ranges* of distinct exchange kinds
-(`kHaloTagBase`, `kPsHaloTagBase`, …) must be pairwise disjoint, or two
+(`kGridHaloTagBase`, `kPsHaloTagBase`, …) must be pairwise disjoint, or two
 concurrent exchanges on one communicator would cross-match messages.
 
 How the proof works, entirely statically:
@@ -106,7 +106,7 @@ def run(files):
                             and sf.tokens[span[0]].kind == "ident" \
                             and sf.tokens[span[0]].text in bounded:
                         # A bounded-but-unfoldable local like
-                        # `const int tag_fwd = kHaloTagBase + axis * 4;`
+                        # `const int tag_fwd = kGridHaloTagBase + axis * 4;`
                         # or `= tag_base + axis * 4;`.
                         lo_b, hi_b, saw_base, anchors_b = \
                             bounded[sf.tokens[span[0]].text]
@@ -516,7 +516,7 @@ def _bounded_locals(tokens, body, env, consts):
     """Local `const int x = <expr>;` decls whose initializer bounds to an
     interval: name -> (lo, hi, saw_base, anchors).  Covers tag_base
     offsets (`tag_base + axis * 4`) and anchored ranges
-    (`kHaloTagBase + 50 + axis * 4`) alike."""
+    (`kGridHaloTagBase + axis * 4`) alike."""
     out = {}
     start, end = body
     i = start
