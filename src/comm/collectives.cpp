@@ -29,12 +29,12 @@ void allreduce_sum_impl(Transport* transport, int nranks, T* data,
 
 void Communicator::allreduce_sum(double* data, std::size_t n) {
   allreduce_sum_impl(transport_, size(), data, n);
-  bytes_sent_ += n * sizeof(double);
+  count_collective(n * sizeof(double));
 }
 
 void Communicator::allreduce_sum(float* data, std::size_t n) {
   allreduce_sum_impl(transport_, size(), data, n);
-  bytes_sent_ += n * sizeof(float);
+  count_collective(n * sizeof(float));
 }
 
 std::int64_t Communicator::allreduce_sum(std::int64_t x) {
@@ -44,7 +44,7 @@ std::int64_t Communicator::allreduce_sum(std::int64_t x) {
     for (int r = 0; r < size(); ++r)
       x += *static_cast<const std::int64_t*>(view.data(r));
   });
-  bytes_sent_ += sizeof(std::int64_t);
+  count_collective(sizeof(std::int64_t));
   return x;
 }
 
@@ -54,7 +54,7 @@ double Communicator::allreduce_max(double x) {
     for (int r = 0; r < size(); ++r)
       x = std::max(x, *static_cast<const double*>(view.data(r)));
   });
-  bytes_sent_ += sizeof(double);
+  count_collective(sizeof(double));
   return x;
 }
 
@@ -64,13 +64,13 @@ double Communicator::allreduce_min(double x) {
     for (int r = 0; r < size(); ++r)
       x = std::min(x, *static_cast<const double*>(view.data(r)));
   });
-  bytes_sent_ += sizeof(double);
+  count_collective(sizeof(double));
   return x;
 }
 
 void Communicator::bcast_bytes(void* data, std::size_t bytes, int root) {
   transport_->bcast(data, bytes, root);
-  if (rank_ == root) bytes_sent_ += bytes;
+  if (rank_ == root) count_collective(bytes);
 }
 
 void Communicator::allgather_bytes(const void* data, std::size_t bytes,
@@ -81,7 +81,7 @@ void Communicator::allgather_bytes(const void* data, std::size_t bytes,
       std::memcpy(dst + static_cast<std::size_t>(r) * bytes, view.data(r),
                   bytes);
   });
-  bytes_sent_ += bytes;
+  count_collective(bytes);
 }
 
 void Communicator::alltoall_bytes(const void* send, void* recv,
@@ -104,6 +104,7 @@ void Communicator::alltoall_bytes(const void* send, void* recv,
 std::vector<std::vector<std::uint8_t>> Communicator::alltoallv(
     const std::vector<std::vector<std::uint8_t>>& send) {
   auto recv = transport_->alltoallv(send);
+  if (size() == 1) return recv;  // a world of one sends nothing
   for (const auto& buf : send) {
     bytes_sent_ += buf.size();
     if (!buf.empty()) ++messages_sent_;

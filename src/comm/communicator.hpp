@@ -141,15 +141,25 @@ class Communicator {
       const std::vector<std::vector<std::uint8_t>>& send);
 
   // ---- traffic accounting ----
-  // Counts point-to-point traffic only: collectives move data through the
-  // transport's internal collective channel (the staging area in-process,
-  // internal frames over TCP), not the inbox mailbox, so they appear in
-  // neither the send counters nor the mailbox stats.
+  // bytes_sent / messages_sent count point-to-point sends (to any rank,
+  // this one included — bytes_sent_to(rank()) is the part that never left)
+  // plus this rank's contribution to each collective: its reduction or
+  // gather payload, the root's broadcast payload, its all-to-all buffers
+  // (alltoall skips its own block, alltoallv counts every buffer).  In a
+  // world of one, collectives count nothing.  Collectives move data
+  // through the transport's internal collective channel (the staging area
+  // in-process, internal frames over TCP), not the inbox mailbox, so they
+  // appear in neither the per-peer counters nor the mailbox stats.
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t messages_sent() const { return messages_sent_; }
   /// (bytes, messages) this rank sent to `dest`.
   std::uint64_t bytes_sent_to(int dest) const;
   std::uint64_t messages_sent_to(int dest) const;
+  /// bytes_sent() less the point-to-point messages this rank addressed to
+  /// itself — the traffic the run's telemetry reports.
+  std::uint64_t bytes_sent_to_peers() const {
+    return bytes_sent_ - bytes_sent_to(rank_);
+  }
   /// Receive-side counters: this rank's mailbox stats (delivered/consumed
   /// messages and bytes, queue high-water mark, blocked-in-pop seconds).
   MailboxStats recv_stats() const;
@@ -167,6 +177,10 @@ class Communicator {
   void alltoall_bytes(const void* send, void* recv, std::size_t bytes_each);
   [[noreturn]] static void throw_size_mismatch(std::size_t got,
                                                std::size_t want);
+  /// Add this rank's collective payload to bytes_sent (none without peers).
+  void count_collective(std::size_t bytes) {
+    if (size() > 1) bytes_sent_ += bytes;
+  }
 
   Transport* transport_;
   int rank_;

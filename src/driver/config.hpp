@@ -42,8 +42,8 @@ struct SimulationConfig {
   double perturb_amp = 0.02;  // seeded k=1 density perturbation
 
   // --- distributed execution ---
-  int ranks = 1;              // simulated MPI ranks; > 1 runs the
-                              // distributed path (src/parallel/)
+  int ranks = 1;              // simulated MPI ranks (thread ranks of
+                              // src/parallel/; 1 = the world of one)
   std::string transport = "inproc";  // "inproc" = thread ranks in this
                                      // process; "tcp" = this process is ONE
                                      // rank of a multi-process world

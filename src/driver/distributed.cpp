@@ -1,23 +1,15 @@
-// Distributed run loop and sharded checkpointing (see distributed.hpp and
-// the Driver class comment).
+// Sharded checkpointing and rank-topology resolution (see distributed.hpp
+// and the Driver class comment).
 #include "driver/distributed.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <stdexcept>
 
-#include "comm/runner.hpp"
-#include "comm/tcp_transport.hpp"
 #include "common/trace.hpp"
-#include "driver/driver.hpp"
-#include "driver/telemetry.hpp"
 #include "io/snapshot.hpp"
 #include "parallel/decomp_plan.hpp"
-#include "parallel/distributed_solver.hpp"
-#include "vlasov/sweeps.hpp"
 
 namespace v6d::driver {
 
@@ -30,11 +22,12 @@ std::string shard_name(std::int64_t step, int rank) {
          std::to_string(rank) + ".bin";
 }
 
-/// Collective checkpoint write: every rank writes its own phase-space
-/// shard (concurrent I/O), a barrier orders them before rank 0 commits the
-/// meta referencing all of them.  Any rank's failure aborts all ranks with
-/// the same error (the allreduce makes the decision uniform, so no rank
-/// proceeds to a half-written commit).
+}  // namespace
+
+// A barrier orders the shards before rank 0 commits the meta referencing
+// all of them.  Any rank's failure aborts all ranks with the same error
+// (the allreduce makes the decision uniform, so no rank proceeds to a
+// half-written commit).
 void write_distributed_checkpoint(const SimulationConfig& cfg,
                                   const Xoshiro256::State& rng,
                                   parallel::DistributedHybridSolver& ds,
@@ -92,8 +85,6 @@ void write_distributed_checkpoint(const SimulationConfig& cfg,
   }
   comm.barrier();
 }
-
-}  // namespace
 
 std::array<int, 3> resolve_run_decomp(const SimulationConfig& cfg,
                                       const hybrid::HybridSolver& solver) {
@@ -161,228 +152,6 @@ io::SnapshotStatus assemble_phase_space_shards(const std::string& dir,
       return io::SnapshotStatus::kBadHeader;
     }
   return io::SnapshotStatus::kOk;
-}
-
-RunResult Driver::run_distributed() {
-  RunResult result;
-  const auto dims = resolve_run_decomp(cfg_, *solver_);
-  Stopwatch wall;
-
-  // transport=tcp means this process IS one rank of a multi-process world:
-  // no thread fan-out, one endpoint, and anything that would clobber a
-  // shared file (telemetry, traces, reports) belongs to the rank-0 process.
-  const bool multiproc = cfg_.transport == "tcp";
-  const bool lead_process = !multiproc || cfg_.rank == 0;
-
-  // Tracing is armed before the rank threads exist and flushed after they
-  // join — the control-plane quiescence the trace buffers require.
-  if (!cfg_.trace.empty()) {
-    trace::reset();
-    trace::enable();
-  }
-  // The heartbeat needs collectives (global mass, comm-byte allreduce), so
-  // the *decision* to emit it must be uniform across ranks; only the lead
-  // rank owns the stream and writes rows (in a multi-process world, only
-  // the lead process may even open the path — a peer's open would truncate
-  // the lead's stream).
-  const bool heartbeat = !cfg_.telemetry.empty();
-  TelemetryStream telemetry;
-  if (heartbeat && lead_process) {
-    std::string error;
-    if (!telemetry.open(cfg_.telemetry, &error))
-      throw std::runtime_error(error);
-  }
-
-  const auto rank_body = [&](comm::Communicator& comm) {
-    trace::set_rank(comm.rank());
-    parallel::DistributedHybridSolver ds(*solver_, comm, dims, cfg_.overlap);
-    const bool lead = comm.rank() == 0;
-    // Thread ranks share one Driver, so only the lead writes its fields;
-    // process ranks each own their Driver and keep it coherent locally.
-    const bool own_driver = lead || multiproc;
-    double a = a_;
-    std::int64_t steps = steps_;
-    int steps_here = 0;
-    StopReason reason = StopReason::kFinished;
-    bool early = false;
-    std::string checkpoint_written;
-    const double mass0 = heartbeat ? ds.total_mass() : 0.0;
-
-    auto checkpoint_all = [&] {
-      write_distributed_checkpoint(cfg_, rng_.state(), ds, comm,
-                                   cfg_.checkpoint_dir, a, steps);
-      checkpoint_written = cfg_.checkpoint_dir;
-    };
-
-    while (a < cfg_.a_final - 1e-12) {
-      // Stop decisions come from rank 0 alone (wall clocks differ across
-      // threads) so every rank leaves the loop on the same step.
-      int stop = 0;
-      if (lead) {
-        if (cfg_.max_steps > 0 && steps >= cfg_.max_steps)
-          stop = 1;
-        else if (cfg_.wall_budget_s > 0.0 &&
-                 wall.seconds() >= cfg_.wall_budget_s)
-          stop = 2;
-      }
-      comm.bcast(&stop, 1, 0);
-      if (stop != 0) {
-        reason = stop == 1 ? StopReason::kMaxSteps : StopReason::kWallBudget;
-        early = true;
-        break;
-      }
-
-      double a1;
-      {
-        Stopwatch control;
-        a1 = std::min(ds.suggest_next_a(a, cfg_.da_max), cfg_.a_final);
-        if (own_driver) timers_.add("step-control", control.seconds());
-      }
-      std::map<std::string, double> phases_before;
-      if (heartbeat && lead) phases_before = timer_totals(ds.timers());
-      double step_seconds;
-      {
-        trace::Span step_span("step");
-        Stopwatch step_watch;
-        ds.step(a, a1);
-        step_seconds = step_watch.seconds();
-        if (own_driver) timers_.add_sample("step", step_seconds);
-      }
-      trace::counter("comm-bytes-sent",
-                     static_cast<double>(comm.bytes_sent()));
-      if (heartbeat) {
-        // Collectives: every rank participates, the lead writes the row.
-        const double mass = ds.total_mass();
-        const std::uint64_t comm_bytes = static_cast<std::uint64_t>(
-            comm.allreduce_sum(static_cast<std::int64_t>(comm.bytes_sent())));
-        if (lead) {
-          Heartbeat hb;
-          hb.step = steps + 1;
-          hb.a = a1;
-          hb.da = a1 - a;
-          if (ds.has_neutrinos())
-            // Geometry-only bound, identical on every rank — no collective.
-            hb.cfl_shift = vlasov::max_position_shift(
-                ds.local_f(), ds.background().drift_factor(a, a1));
-          hb.mass = mass;
-          hb.mass_drift = mass0 != 0.0 ? (mass - mass0) / mass0 : 0.0;
-          hb.step_seconds = step_seconds;
-          hb.phase_seconds =
-              timer_delta(phases_before, timer_totals(ds.timers()));
-          hb.comm_bytes = comm_bytes;
-          hb.rss_mb = current_rss_mb();
-          telemetry.write(hb);
-          trace::counter("mass-drift", hb.mass_drift);
-        }
-      }
-      a = a1;
-      ++steps;
-      ++steps_here;
-
-      if (lead && cfg_.progress_every > 0 && steps % cfg_.progress_every == 0)
-        std::printf("  [%s] step %lld  a = %.4f  (%d ranks)\n",
-                    cfg_.scenario.c_str(), static_cast<long long>(steps), a,
-                    cfg_.ranks);
-
-      if (cfg_.checkpoint_every > 0 && !cfg_.checkpoint_dir.empty() &&
-          steps % cfg_.checkpoint_every == 0) {
-        Stopwatch ckpt;
-        checkpoint_all();
-        if (own_driver) timers_.add("checkpoint-io", ckpt.seconds());
-      }
-    }
-
-    if (early && !cfg_.checkpoint_dir.empty()) {
-      Stopwatch ckpt;
-      checkpoint_all();
-      if (own_driver) timers_.add("checkpoint-io", ckpt.seconds());
-    }
-
-    // Fold the evolved state back into the global solver so accessors,
-    // serial checkpoints, and perf reports see the distributed result.
-    // Across processes the bricks travel as messages and only the rank-0
-    // process assembles a global view.
-    ds.gather_into(*solver_, multiproc);
-    if (own_driver) {
-      a_ = a;
-      steps_ = steps;
-      result.reason = reason;
-      result.steps = steps_here;
-      result.checkpoint = checkpoint_written;
-      solver_->timers().merge(ds.timers());
-    }
-
-    if (multiproc && !cfg_.trace.empty()) {
-      // One merged Chrome trace, exactly like the thread-rank path: every
-      // process ships its (POD) event buffer to rank 0 over the transport
-      // — all plan traffic has drained (gather_into ends in a barrier), so
-      // the tag cannot collide with live traffic.
-      constexpr int kTraceTag = 0x7ace;
-      trace::disable();
-      auto events = trace::collect();
-      if (lead) {
-        for (int r = 1; r < comm.size(); ++r) {
-          const auto blob = comm.recv_bytes(r, kTraceTag);
-          const std::size_t n = blob.size() / sizeof(trace::Event);
-          const std::size_t at = events.size();
-          events.resize(at + n);
-          std::memcpy(events.data() + at, blob.data(),
-                      n * sizeof(trace::Event));
-        }
-        std::string error;
-        if (!trace::write_chrome_trace(cfg_.trace, events, &error))
-          throw std::runtime_error("cannot write trace: " + error);
-      } else {
-        comm.send_bytes(0, kTraceTag, events.data(),
-                        events.size() * sizeof(trace::Event));
-      }
-      trace::reset();
-      comm.barrier();
-    }
-  };
-
-  if (multiproc) {
-    comm::TcpOptions tcp_options;
-    tcp_options.rank = cfg_.rank;
-    tcp_options.world = cfg_.world;
-    tcp_options.hosts = cfg_.transport_hosts;
-    tcp_options.liveness_timeout_s = cfg_.transport_timeout;
-    comm::TcpTransport transport(tcp_options);
-    comm::Communicator comm(transport);
-    try {
-      rank_body(comm);
-    } catch (const comm::AbortedError&) {
-      transport.abort();
-      // A secondary wakeup, but this endpoint may know the primary cause
-      // (a lost peer, a liveness deadline) — surface that diagnosis so
-      // the process exits with the retryable transport classification
-      // instead of an anonymous abort.
-      transport.rethrow_diagnosis();
-      throw;
-    } catch (...) {
-      transport.abort();  // wake remote peers parked on this rank
-      throw;
-    }
-    transport.shutdown();
-  } else {
-    comm::run(cfg_.ranks, rank_body);
-  }
-
-  result.a = a_;
-  result.total_steps = steps_;
-  if (lead_process && !cfg_.perf_report.empty())
-    write_perf_report(cfg_.perf_report);
-  // The multi-process trace was merged and written inside rank_body (it
-  // needs the transport); the thread-rank path flushes here, after join.
-  if (!cfg_.trace.empty()) {
-    if (multiproc) {
-      trace::disable();
-      trace::reset();
-    } else {
-      write_trace_file(cfg_.trace);
-    }
-  }
-  return result;
 }
 
 void write_trace_file(const std::string& path) {

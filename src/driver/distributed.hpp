@@ -1,20 +1,23 @@
 // Distributed pieces of the driver: rank-topology resolution for a
-// configured run and checkpoint-shard assembly for resume.
+// configured run, the sharded checkpoint writer, and checkpoint-shard
+// assembly for resume.
 //
-// The run loop itself is Driver::run_distributed() (defined in
-// distributed.cpp); it shards the scenario-built global solver across
-// comm::run thread ranks (parallel::DistributedHybridSolver), takes
-// allreduce-agreed CFL steps, and writes per-rank phase-space shards on
-// checkpoint so the big payload is written concurrently — the reason the
-// paper times snapshot I/O as a first-class phase (§7.2).
+// Driver::run (driver.cpp) shards the scenario-built global solver across
+// the world's ranks (parallel::DistributedHybridSolver) and writes one
+// phase-space shard per rank on checkpoint, so the big payload is written
+// concurrently — the reason the paper times snapshot I/O as a first-class
+// phase (§7.2).  A 1-rank run writes a single shard.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
+#include "common/rng.hpp"
 #include "driver/checkpoint.hpp"
 #include "driver/config.hpp"
 #include "hybrid/hybrid_solver.hpp"
+#include "parallel/distributed_solver.hpp"
 
 namespace v6d::driver {
 
@@ -24,6 +27,17 @@ namespace v6d::driver {
 /// ghost width).
 std::array<int, 3> resolve_run_decomp(const SimulationConfig& cfg,
                                       const hybrid::HybridSolver& solver);
+
+/// Collective checkpoint write: every rank writes its own phase-space
+/// shard `phase_space.<step>.r<rank>.bin` (concurrent I/O), then rank 0
+/// commits the meta listing all of them plus the particles and the force
+/// cache.  Any rank's failure throws on every rank, before the commit.
+void write_distributed_checkpoint(const SimulationConfig& cfg,
+                                  const Xoshiro256::State& rng,
+                                  parallel::DistributedHybridSolver& ds,
+                                  comm::Communicator& comm,
+                                  const std::string& dir, double a,
+                                  std::int64_t step);
 
 /// Read every per-rank shard listed in `meta` and copy its interior into
 /// the global phase space (placement from each shard's geometry origin).

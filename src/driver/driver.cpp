@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
 
+#include "comm/runner.hpp"
+#include "comm/tcp_transport.hpp"
 #include "common/trace.hpp"
 #include "driver/checkpoint.hpp"
 #include "driver/distributed.hpp"
 #include "driver/scenario.hpp"
 #include "driver/telemetry.hpp"
 #include "io/perf_report.hpp"
+#include "parallel/distributed_solver.hpp"
 #include "vlasov/sweeps.hpp"
 
 namespace v6d::driver {
@@ -49,6 +53,8 @@ Driver::Driver(const SimulationConfig& cfg, bool with_ics)
   } else if (cfg_.transport != "inproc") {
     throw std::invalid_argument("unknown transport '" + cfg_.transport +
                                 "' (expected inproc or tcp)");
+  } else if (cfg_.ranks < 1) {
+    throw std::invalid_argument("ranks must be >= 1");
   }
   const Scenario* scenario = find_scenario(cfg_.scenario);
   if (!scenario)
@@ -101,10 +107,13 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
     throw std::runtime_error("cannot read checkpoint payload (" +
                              std::string(io::to_string(status)) +
                              "): " + detail);
+  // Runs write one phase-space shard per rank; a global payload (read
+  // above) is the format of checkpoints written before 1-rank runs were
+  // sharded too, and still resumes.
   if (!meta.shard_files.empty()) {
-    // Distributed checkpoint: assemble the global phase space from the
-    // per-rank shards; the next run() re-shards it (bit-identically when
-    // ranks/decomp are unchanged).
+    // Assemble the global phase space from the per-rank shards; the next
+    // run() re-shards it (bit-identically when ranks/decomp are
+    // unchanged).
     status = assemble_phase_space_shards(dir, meta,
                                          driver.solver_->neutrinos(), &detail);
     if (status != io::SnapshotStatus::kOk)
@@ -131,126 +140,236 @@ Driver Driver::resume(const std::string& dir, const Options& overrides) {
   return driver;
 }
 
-void Driver::write_checkpoint(const std::string& dir) const {
-  Checkpoint meta;
-  meta.config = cfg_;
-  meta.a = a_;
-  meta.step = steps_;
-  meta.rng = rng_.state();
-  meta.has_phase_space = solver_->neutrinos().dims().total_interior() > 0;
-  meta.has_particles = solver_->cdm().size() > 0;
-  const auto forces = solver_->export_step_forces();
-  meta.has_forces = forces.fresh;
-  std::string detail;
-  const auto status = driver::write_checkpoint(
-      dir, meta, meta.has_phase_space ? &solver_->neutrinos() : nullptr,
-      meta.has_particles ? &solver_->cdm() : nullptr,
-      meta.has_forces ? &forces : nullptr, &detail);
-  if (status != io::SnapshotStatus::kOk)
-    throw std::runtime_error("cannot write checkpoint (" +
-                             std::string(io::to_string(status)) +
-                             "): " + detail);
-}
-
 RunResult Driver::run() {
-  if (cfg_.ranks > 1 || cfg_.transport == "tcp") return run_distributed();
+  RunResult result;
+  const auto dims = resolve_run_decomp(cfg_, *solver_);
+  Stopwatch wall;
+
+  // transport=tcp means this process IS one rank of a multi-process world:
+  // no thread fan-out, one endpoint, and anything that would clobber a
+  // shared file (telemetry, traces, reports) belongs to the rank-0 process.
+  const bool multiproc = cfg_.transport == "tcp";
+  const bool lead_process = !multiproc || cfg_.rank == 0;
+
+  // Tracing is armed before the rank threads exist and flushed after they
+  // join — the control-plane quiescence the trace buffers require.
   if (!cfg_.trace.empty()) {
     trace::reset();
     trace::enable();
-    trace::set_rank(0);
   }
-  Stopwatch wall;
-  RunResult result;
-  const auto stop_with_checkpoint = [&](StopReason reason) {
-    result.reason = reason;
-    if (!cfg_.checkpoint_dir.empty()) {
-      ScopedTimer t(timers_, "checkpoint-io");
-      write_checkpoint(cfg_.checkpoint_dir);
-      result.checkpoint = cfg_.checkpoint_dir;
-    }
-  };
-
+  // The heartbeat needs collectives (global mass, comm-byte allreduce), so
+  // the *decision* to emit it must be uniform across ranks; only the lead
+  // rank owns the stream and writes rows (in a multi-process world, only
+  // the lead process may even open the path — a peer's open would truncate
+  // the lead's stream).
+  const bool heartbeat = !cfg_.telemetry.empty();
   TelemetryStream telemetry;
-  double mass0 = 0.0;
-  if (!cfg_.telemetry.empty()) {
+  if (heartbeat && lead_process) {
     std::string error;
     if (!telemetry.open(cfg_.telemetry, &error))
       throw std::runtime_error(error);
-    mass0 = solver_->total_mass();
   }
-  // Per-step phase increments for the heartbeat = deltas of the merged
-  // (driver + solver) bucket totals around the step.
-  const auto phase_snapshot = [&] {
-    TimerRegistry merged;
-    merged.merge(timers_);
-    merged.merge(solver_->timers(), "solver:");
-    return timer_totals(merged);
+
+  const auto rank_body = [&](comm::Communicator& comm) {
+    trace::set_rank(comm.rank());
+    parallel::DistributedHybridSolver ds(*solver_, comm, dims, cfg_.overlap);
+    const bool lead = comm.rank() == 0;
+    // Thread ranks share one Driver, so only the lead writes its fields;
+    // process ranks each own their Driver and keep it coherent locally.
+    // Every rank times its driver phases (and emits their trace spans)
+    // into its own registry, folded into timers_ by the owner at the end.
+    const bool own_driver = lead || multiproc;
+    TimerRegistry driver_timers;
+    double a = a_;
+    std::int64_t steps = steps_;
+    int steps_here = 0;
+    StopReason reason = StopReason::kFinished;
+    bool early = false;
+    std::string checkpoint_written;
+    const double mass0 = heartbeat ? ds.total_mass() : 0.0;
+    // Per-step phase increments for the heartbeat = deltas of the merged
+    // (driver + solver) bucket totals around the step.
+    const auto phase_snapshot = [&] {
+      TimerRegistry merged;
+      merged.merge(timers_);
+      merged.merge(driver_timers);
+      merged.merge(ds.timers(), "solver:");
+      return timer_totals(merged);
+    };
+
+    auto checkpoint_all = [&] {
+      write_distributed_checkpoint(cfg_, rng_.state(), ds, comm,
+                                   cfg_.checkpoint_dir, a, steps);
+      checkpoint_written = cfg_.checkpoint_dir;
+    };
+
+    while (a < cfg_.a_final - 1e-12) {
+      // Stop decisions come from rank 0 alone (wall clocks differ across
+      // threads) so every rank leaves the loop on the same step.
+      int stop = 0;
+      if (lead) {
+        if (cfg_.max_steps > 0 && steps >= cfg_.max_steps)
+          stop = 1;
+        else if (cfg_.wall_budget_s > 0.0 &&
+                 wall.seconds() >= cfg_.wall_budget_s)
+          stop = 2;
+      }
+      comm.bcast(&stop, 1, 0);
+      if (stop != 0) {
+        reason = stop == 1 ? StopReason::kMaxSteps : StopReason::kWallBudget;
+        early = true;
+        break;
+      }
+
+      double a1;
+      {
+        ScopedTimer t(driver_timers, "step-control");
+        a1 = std::min(ds.suggest_next_a(a, cfg_.da_max), cfg_.a_final);
+      }
+      std::map<std::string, double> phases_before;
+      if (heartbeat && lead) phases_before = phase_snapshot();
+      double step_seconds;
+      {
+        // Per-step samples feed the paper's median-of-steps metric in the
+        // perf report alongside the accumulated total.
+        trace::Span step_span("step");
+        Stopwatch step_watch;
+        ds.step(a, a1);
+        step_seconds = step_watch.seconds();
+        driver_timers.add_sample("step", step_seconds);
+      }
+      trace::counter("comm-bytes-sent",
+                     static_cast<double>(comm.bytes_sent_to_peers()));
+      if (heartbeat) {
+        // Collectives: every rank participates, the lead writes the row.
+        const double mass = ds.total_mass();
+        const std::uint64_t comm_bytes =
+            static_cast<std::uint64_t>(comm.allreduce_sum(
+                static_cast<std::int64_t>(comm.bytes_sent_to_peers())));
+        if (lead) {
+          Heartbeat hb;
+          hb.step = steps + 1;
+          hb.a = a1;
+          hb.da = a1 - a;
+          if (ds.has_neutrinos())
+            // Geometry-only bound, identical on every rank — no collective.
+            hb.cfl_shift = vlasov::max_position_shift(
+                ds.local_f(), ds.background().drift_factor(a, a1));
+          hb.mass = mass;
+          hb.mass_drift = mass0 != 0.0 ? (mass - mass0) / mass0 : 0.0;
+          hb.step_seconds = step_seconds;
+          hb.phase_seconds = timer_delta(phases_before, phase_snapshot());
+          hb.comm_bytes = comm_bytes;
+          hb.rss_mb = current_rss_mb();
+          telemetry.write(hb);
+          trace::counter("mass-drift", hb.mass_drift);
+        }
+      }
+      a = a1;
+      ++steps;
+      ++steps_here;
+
+      if (lead && cfg_.progress_every > 0 && steps % cfg_.progress_every == 0)
+        std::printf("  [%s] step %lld  a = %.4f  (%d rank%s)\n",
+                    cfg_.scenario.c_str(), static_cast<long long>(steps), a,
+                    cfg_.ranks, cfg_.ranks == 1 ? "" : "s");
+
+      if (cfg_.checkpoint_every > 0 && !cfg_.checkpoint_dir.empty() &&
+          steps % cfg_.checkpoint_every == 0) {
+        ScopedTimer t(driver_timers, "checkpoint-io");
+        checkpoint_all();
+      }
+    }
+
+    if (early && !cfg_.checkpoint_dir.empty()) {
+      ScopedTimer t(driver_timers, "checkpoint-io");
+      checkpoint_all();
+    }
+
+    // Fold the evolved state back into the global solver so accessors and
+    // perf reports see it.  Across processes the bricks travel as messages
+    // and only the rank-0 process assembles a global view.
+    ds.gather_into(*solver_, multiproc);
+    if (own_driver) {
+      a_ = a;
+      steps_ = steps;
+      result.reason = reason;
+      result.steps = steps_here;
+      result.checkpoint = checkpoint_written;
+      timers_.merge(driver_timers);
+      solver_->timers().merge(ds.timers());
+    }
+
+    if (multiproc && !cfg_.trace.empty()) {
+      // One merged Chrome trace, exactly like the thread-rank path: every
+      // process ships its (POD) event buffer to rank 0 over the transport
+      // — all plan traffic has drained (gather_into ends in a barrier), so
+      // the tag cannot collide with live traffic.
+      constexpr int kTraceTag = 0x7ace;
+      trace::disable();
+      auto events = trace::collect();
+      if (lead) {
+        for (int r = 1; r < comm.size(); ++r) {
+          const auto blob = comm.recv_bytes(r, kTraceTag);
+          const std::size_t n = blob.size() / sizeof(trace::Event);
+          const std::size_t at = events.size();
+          events.resize(at + n);
+          std::memcpy(events.data() + at, blob.data(),
+                      n * sizeof(trace::Event));
+        }
+        std::string error;
+        if (!trace::write_chrome_trace(cfg_.trace, events, &error))
+          throw std::runtime_error("cannot write trace: " + error);
+      } else {
+        comm.send_bytes(0, kTraceTag, events.data(),
+                        events.size() * sizeof(trace::Event));
+      }
+      trace::reset();
+      comm.barrier();
+    }
   };
 
-  while (a_ < cfg_.a_final - 1e-12) {
-    if (cfg_.max_steps > 0 && steps_ >= cfg_.max_steps) {
-      stop_with_checkpoint(StopReason::kMaxSteps);
-      break;
+  if (multiproc) {
+    comm::TcpOptions tcp_options;
+    tcp_options.rank = cfg_.rank;
+    tcp_options.world = cfg_.world;
+    tcp_options.hosts = cfg_.transport_hosts;
+    tcp_options.liveness_timeout_s = cfg_.transport_timeout;
+    comm::TcpTransport transport(tcp_options);
+    comm::Communicator comm(transport);
+    try {
+      rank_body(comm);
+    } catch (const comm::AbortedError&) {
+      transport.abort();
+      // A secondary wakeup, but this endpoint may know the primary cause
+      // (a lost peer, a liveness deadline) — surface that diagnosis so
+      // the process exits with the retryable transport classification
+      // instead of an anonymous abort.
+      transport.rethrow_diagnosis();
+      throw;
+    } catch (...) {
+      transport.abort();  // wake remote peers parked on this rank
+      throw;
     }
-    if (cfg_.wall_budget_s > 0.0 && wall.seconds() >= cfg_.wall_budget_s) {
-      stop_with_checkpoint(StopReason::kWallBudget);
-      break;
-    }
-
-    double a1;
-    {
-      ScopedTimer t(timers_, "step-control");
-      a1 = std::min(solver_->suggest_next_a(a_, cfg_.da_max), cfg_.a_final);
-    }
-    std::map<std::string, double> phases_before;
-    if (telemetry.is_open()) phases_before = phase_snapshot();
-    double step_seconds;
-    {
-      // Per-step samples feed the paper's median-of-steps metric in the
-      // perf report alongside the accumulated total.
-      trace::Span step_span("step");
-      Stopwatch step_watch;
-      solver_->step(a_, a1);
-      step_seconds = step_watch.seconds();
-      timers_.add_sample("step", step_seconds);
-    }
-    if (telemetry.is_open()) {
-      Heartbeat hb;
-      hb.step = steps_ + 1;
-      hb.a = a1;
-      hb.da = a1 - a_;
-      if (solver_->neutrinos().dims().total_interior() > 0)
-        hb.cfl_shift = vlasov::max_position_shift(
-            solver_->neutrinos(), solver_->background().drift_factor(a_, a1));
-      hb.mass = solver_->total_mass();
-      hb.mass_drift = mass0 != 0.0 ? (hb.mass - mass0) / mass0 : 0.0;
-      hb.step_seconds = step_seconds;
-      hb.phase_seconds = timer_delta(phases_before, phase_snapshot());
-      hb.comm_bytes = 0;  // serial: no p2p traffic
-      hb.rss_mb = current_rss_mb();
-      telemetry.write(hb);
-      trace::counter("mass-drift", hb.mass_drift);
-    }
-    a_ = a1;
-    ++steps_;
-    ++result.steps;
-
-    if (cfg_.progress_every > 0 && steps_ % cfg_.progress_every == 0)
-      std::printf("  [%s] step %lld  a = %.4f\n", cfg_.scenario.c_str(),
-                  static_cast<long long>(steps_), a_);
-
-    if (cfg_.checkpoint_every > 0 && !cfg_.checkpoint_dir.empty() &&
-        steps_ % cfg_.checkpoint_every == 0) {
-      ScopedTimer t(timers_, "checkpoint-io");
-      write_checkpoint(cfg_.checkpoint_dir);
-      result.checkpoint = cfg_.checkpoint_dir;
-    }
+    transport.shutdown();
+  } else {
+    comm::run(cfg_.ranks, rank_body);
   }
 
   result.a = a_;
   result.total_steps = steps_;
-  if (!cfg_.perf_report.empty()) write_perf_report(cfg_.perf_report);
-  if (!cfg_.trace.empty()) write_trace_file(cfg_.trace);
+  if (lead_process && !cfg_.perf_report.empty())
+    write_perf_report(cfg_.perf_report);
+  // The multi-process trace was merged and written inside rank_body (it
+  // needs the transport); the thread-rank path flushes here, after join.
+  if (!cfg_.trace.empty()) {
+    if (multiproc) {
+      trace::disable();
+      trace::reset();
+    } else {
+      write_trace_file(cfg_.trace);
+    }
+  }
   return result;
 }
 

@@ -1,18 +1,23 @@
 // The simulation driver: the application-layer run loop every example and
 // bench used to hand-roll.
 //
-// A Driver owns one scenario-built HybridSolver and advances it with
-// CFL-adaptive steps (HybridSolver::suggest_next_a) until the target
-// epoch, a step budget, or a wall-clock budget is hit.  Per-phase wall
-// time accumulates into the driver's TimerRegistry ("step",
-// "step-control", "checkpoint-io") alongside the solver's own buckets
-// (vlasov / pm / tree) — the paper's end-to-end timing includes snapshot
-// I/O (§7.2), so checkpoint writes are timed like any other phase.
+// A Driver owns one scenario-built (global) HybridSolver.  run() shards it
+// over the configured world — `ranks` thread ranks, or this process as one
+// rank of a transport=tcp world; `ranks=1` is the world of one — as a
+// parallel::DistributedHybridSolver per rank, advances it with
+// CFL-adaptive steps agreed by allreduce until the target epoch, a step
+// budget, or a wall-clock budget is hit, and gathers the evolved state
+// back into the global solver.  Per-phase wall time accumulates into the
+// driver's TimerRegistry ("step", "step-control", "checkpoint-io")
+// alongside the solver's own buckets (vlasov / pm / tree / halo ...) — the
+// paper's end-to-end timing includes snapshot I/O (§7.2), so checkpoint
+// writes are timed like any other phase.
 //
 // Checkpoints (periodic or on early stop) capture everything the run loop
-// needs — phase space, particles, RNG state, scale factor, step count,
-// and the full config — so a killed run resumed with Driver::resume
-// continues bit-identically with the uninterrupted run.
+// needs — one phase-space shard per rank, particles, the force cache, RNG
+// state, scale factor, step count, and the full config — so a killed run
+// resumed with Driver::resume continues bit-identically with the
+// uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +59,9 @@ class Driver {
 
   /// Advance until a_final / max_steps / wall budget.  Early stops write
   /// a checkpoint to config().checkpoint_dir (when non-empty) so the run
-  /// is resumable by construction.
+  /// is resumable by construction.  Rank 0 decides when to stop and
+  /// broadcasts it, so every rank leaves the loop on the same step.
   RunResult run();
-
-  /// Write a checkpoint of the current state to `dir`.
-  /// Throws std::runtime_error on I/O failure.
-  void write_checkpoint(const std::string& dir) const;
 
   /// Write the per-phase timers (driver buckets + the solver's vlasov /
   /// pm / tree buckets) as a v6d-perf/1 JSON report.  run() calls this
@@ -76,11 +78,6 @@ class Driver {
 
  private:
   Driver(const SimulationConfig& cfg, bool with_ics);
-
-  /// The ranks > 1 run loop (driver/distributed.cpp): shards the global
-  /// solver over comm::run thread ranks, steps with allreduce-agreed CFL
-  /// intervals, and writes per-rank checkpoint shards.
-  RunResult run_distributed();
 
   SimulationConfig cfg_;
   std::unique_ptr<hybrid::HybridSolver> solver_;

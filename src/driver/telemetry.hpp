@@ -30,7 +30,8 @@ struct Heartbeat {
   double mass_drift = 0.0;   // (mass - mass0) / mass0
   double step_seconds = 0.0;
   std::map<std::string, double> phase_seconds;
-  std::uint64_t comm_bytes = 0;  // p2p bytes sent, all ranks, cumulative
+  std::uint64_t comm_bytes = 0;  // Communicator::bytes_sent_to_peers(),
+                                 // all ranks, cumulative
   double rss_mb = 0.0;
 };
 

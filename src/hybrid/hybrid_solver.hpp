@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "common/timer.hpp"
 #include "cosmology/background.hpp"
@@ -105,6 +106,12 @@ class HybridSolver {
   /// Neutrino density on the PM grid (refreshed by the last force solve).
   const mesh::Grid3D<double>& nu_density() const { return rho_nu_; }
   const mesh::Grid3D<double>& cdm_density() const { return rho_cdm_; }
+  /// Replace both PM densities with those of a force solve done elsewhere
+  /// (the distributed solver's gather); shapes must match the PM grid.
+  void import_densities(mesh::Grid3D<double> cdm, mesh::Grid3D<double> nu) {
+    rho_cdm_ = std::move(cdm);
+    rho_nu_ = std::move(nu);
+  }
 
   TimerRegistry& timers() { return timers_; }
   static double poisson_prefactor(double a) { return 1.5 / a; }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/trace.hpp"
 #include "mesh/halo.hpp"
@@ -26,6 +27,8 @@ constexpr int kFoldNuTagBase = 360;   // neutrino density fold
 constexpr int kSlabCdmTagBase = 380;  // rho_cdm brick -> slab
 constexpr int kSlabNuTagBase = 384;   // rho_nu brick -> slab
 constexpr int kSlabOutTagBase = 388;  // force slab -> brick
+constexpr int kRhoCdmGatherTag = 392;  // gather_into: rho_cdm bricks -> 0
+constexpr int kRhoNuGatherTag = 393;   // gather_into: rho_nu bricks -> 0
 
 /// Local phase-space brick of the global f: same geometry with the origin
 /// shifted to this rank's offset, interior blocks copied.
@@ -54,17 +57,16 @@ vlasov::PhaseSpace make_local_brick(const vlasov::PhaseSpace& global,
 }  // namespace
 
 DistributedHybridSolver::DistributedHybridSolver(
-    const hybrid::HybridSolver& global, comm::Communicator& comm,
+    hybrid::HybridSolver& global, comm::Communicator& comm,
     std::array<int, 3> decomp, bool overlap)
     : comm_(comm),
       cart_(comm, decomp),
       pfft_(comm, global.options().pm_grid),
-      cdm_(global.cdm()),
       box_(global.box()),
       background_(global.background()),
       options_(global.options()),
       overlap_(overlap) {
-  const auto& gd = global.neutrinos().dims();
+  const auto gd = global.neutrinos().dims();
   has_nu_ = gd.total_interior() > 0;
 
   DecompConstraints constraints;
@@ -79,7 +81,16 @@ DistributedHybridSolver::DistributedHybridSolver(
       {options_.pm_grid, options_.pm_grid, options_.pm_grid}, decomp,
       cart_.coords());
 
-  if (has_nu_) f_ = make_local_brick(global.neutrinos(), dec_);
+  // A world of one owns the whole grid and every particle: take the
+  // global storage over instead of copying it (gather_into hands it back).
+  if (comm.size() == 1) {
+    lender_ = &global;
+    if (has_nu_) f_ = std::exchange(global.neutrinos(), vlasov::PhaseSpace());
+    cdm_ = std::exchange(global.cdm(), nbody::Particles());
+  } else {
+    if (has_nu_) f_ = make_local_brick(global.neutrinos(), dec_);
+    cdm_ = global.cdm();
+  }
 
   patch_.box = box_;
   patch_.n_global = options_.pm_grid;
@@ -118,6 +129,12 @@ DistributedHybridSolver::DistributedHybridSolver(
   // seam (resume path): recomputing it would only match to rounding.
   const auto sf = global.export_step_forces();
   if (sf.fresh) import_step_forces_global(sf);
+}
+
+DistributedHybridSolver::~DistributedHybridSolver() {
+  if (lender_ == nullptr) return;
+  if (has_nu_) lender_->neutrinos() = std::move(f_);
+  lender_->cdm() = std::move(cdm_);
 }
 
 bool DistributedHybridSolver::owns_particle(std::size_t i) const {
@@ -434,6 +451,7 @@ void DistributedHybridSolver::compute_forces(double a) {
                                    prefactor, ax_, ay_, az_);
   }
   forces_fresh_ = true;
+  solved_ = true;
 }
 
 void DistributedHybridSolver::drift(double drift_factor) {
@@ -596,91 +614,90 @@ void DistributedHybridSolver::import_step_forces_global(
 
 void DistributedHybridSolver::gather_into(hybrid::HybridSolver& global,
                                           bool via_messages) {
-  if (has_nu_ && !via_messages) {
-    // Thread ranks share the global solver: each writes its own disjoint
-    // brick in place.
-    vlasov::PhaseSpace& gf = global.neutrinos();
-    const std::size_t bytes = gf.block_size() * sizeof(float);
-    for (int i = 0; i < dec_.local_n(0); ++i)
-      for (int j = 0; j < dec_.local_n(1); ++j)
-        for (int k = 0; k < dec_.local_n(2); ++k)
-          std::memcpy(gf.block(dec_.offset(0) + i, dec_.offset(1) + j,
-                               dec_.offset(2) + k),
-                      f_.block(i, j, k), bytes);
+  if (comm_.size() == 1) {
+    // A world of one hands the taken-over storage back.
+    if (has_nu_) global.neutrinos() = std::exchange(f_, vlasov::PhaseSpace());
+    global.cdm() = std::exchange(cdm_, nbody::Particles());
+    lender_ = nullptr;
   } else if (has_nu_) {
-    // Process ranks do not: ship each brick to rank 0 as one message —
-    // [6 x int32 placement header][blocks in i,j,k order] — and let rank 0
-    // place them by the sender's own offsets (mirrors the shard-resume
-    // placement logic, so the two paths agree on layout).
+    // Thread ranks share the global solver: each writes its own disjoint
+    // brick in place.  Process ranks (`via_messages`) do not: rank 0 writes
+    // its own and the others ship theirs to it as one message each —
+    // [6 x int32 placement header][blocks in i,j,k order] — placed by the
+    // sender's own offsets (mirrors the shard-resume placement logic, so
+    // the two paths agree on layout).
     constexpr int kGatherTag = 0x6a7;
-    const std::size_t block_floats = f_.block_size();
-    const auto pack = [&](std::vector<std::uint8_t>& buf) {
-      const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
-                                      dec_.offset(2), dec_.local_n(0),
-                                      dec_.local_n(1), dec_.local_n(2)};
-      const std::size_t bytes = block_floats * sizeof(float);
-      buf.resize(sizeof(header) + static_cast<std::size_t>(dec_.local_n(0)) *
-                                      dec_.local_n(1) * dec_.local_n(2) *
-                                      bytes);
-      std::memcpy(buf.data(), header, sizeof(header));
-      std::size_t at = sizeof(header);
-      for (int i = 0; i < dec_.local_n(0); ++i)
-        for (int j = 0; j < dec_.local_n(1); ++j)
-          for (int k = 0; k < dec_.local_n(2); ++k) {
-            std::memcpy(buf.data() + at, f_.block(i, j, k), bytes);
-            at += bytes;
-          }
-    };
-    if (comm_.rank() == 0) {
-      vlasov::PhaseSpace& gf = global.neutrinos();
-      const std::size_t bytes = gf.block_size() * sizeof(float);
-      for (int i = 0; i < dec_.local_n(0); ++i)
-        for (int j = 0; j < dec_.local_n(1); ++j)
-          for (int k = 0; k < dec_.local_n(2); ++k)
-            std::memcpy(gf.block(dec_.offset(0) + i, dec_.offset(1) + j,
-                                 dec_.offset(2) + k),
-                        f_.block(i, j, k), bytes);
-      for (int r = 1; r < comm_.size(); ++r) {
-        const auto buf = comm_.recv_bytes(r, kGatherTag);
-        std::int32_t header[6];
-        if (buf.size() < sizeof(header))
-          throw std::runtime_error("gather_into: truncated brick message");
-        std::memcpy(header, buf.data(), sizeof(header));
-        // The header decides where rank 0 writes: a brick that does not
-        // lie inside the global grid is a corrupt frame, not a placement.
-        const int global_n[3] = {gf.dims().nx, gf.dims().ny, gf.dims().nz};
-        for (int a = 0; a < 3; ++a) {
-          const std::int64_t offset = header[a], extent = header[3 + a];
-          if (offset < 0 || extent <= 0 || offset + extent > global_n[a])
-            throw std::runtime_error(
-                "gather_into: brick placement header from rank " +
-                std::to_string(r) + " lies outside the global grid");
+    vlasov::PhaseSpace& gf = global.neutrinos();
+    const std::size_t bytes = f_.block_size() * sizeof(float);
+    const std::int32_t header[6] = {dec_.offset(0),  dec_.offset(1),
+                                    dec_.offset(2),  dec_.local_n(0),
+                                    dec_.local_n(1), dec_.local_n(2)};
+    const bool ship = via_messages && comm_.rank() != 0;
+    std::vector<std::uint8_t> out(
+        ship ? sizeof(header) + static_cast<std::size_t>(header[3]) *
+                                    header[4] * header[5] * bytes
+             : 0);
+    if (ship) std::memcpy(out.data(), header, sizeof(header));
+    std::size_t packed = sizeof(header);
+    for (int i = 0; i < header[3]; ++i)
+      for (int j = 0; j < header[4]; ++j)
+        for (int k = 0; k < header[5]; ++k, packed += bytes) {
+          void* dst = ship ? static_cast<void*>(out.data() + packed)
+                           : gf.block(header[0] + i, header[1] + j,
+                                      header[2] + k);
+          std::memcpy(dst, f_.block(i, j, k), bytes);
         }
-        std::size_t at = sizeof(header);
-        if (buf.size() != sizeof(header) +
-                              static_cast<std::size_t>(header[3]) *
-                                  header[4] * header[5] * bytes)
-          throw std::runtime_error("gather_into: brick message size "
-                                   "disagrees with its placement header");
-        for (int i = 0; i < header[3]; ++i)
-          for (int j = 0; j < header[4]; ++j)
-            for (int k = 0; k < header[5]; ++k) {
-              std::memcpy(gf.block(header[0] + i, header[1] + j,
-                                   header[2] + k),
-                          buf.data() + at, bytes);
-              at += bytes;
-            }
+    if (ship) comm_.send_bytes(0, kGatherTag, out.data(), out.size());
+    for (int r = 1; via_messages && comm_.rank() == 0 && r < comm_.size();
+         ++r) {
+      const auto buf = comm_.recv_bytes(r, kGatherTag);
+      std::int32_t h[6];
+      if (buf.size() < sizeof(h))
+        throw std::runtime_error("gather_into: truncated brick message");
+      std::memcpy(h, buf.data(), sizeof(h));
+      // The header decides where rank 0 writes: a brick that does not lie
+      // inside the global grid is a corrupt frame, not a placement.
+      const int global_n[3] = {gf.dims().nx, gf.dims().ny, gf.dims().nz};
+      for (int a = 0; a < 3; ++a) {
+        const std::int64_t offset = h[a], extent = h[3 + a];
+        if (offset < 0 || extent <= 0 || offset + extent > global_n[a])
+          throw std::runtime_error(
+              "gather_into: brick placement header from rank " +
+              std::to_string(r) + " lies outside the global grid");
       }
-    } else {
-      std::vector<std::uint8_t> buf;
-      pack(buf);
-      comm_.send_bytes(0, kGatherTag, buf.data(), buf.size());
+      if (buf.size() != sizeof(h) + static_cast<std::size_t>(h[3]) * h[4] *
+                                        h[5] * bytes)
+        throw std::runtime_error("gather_into: brick message size "
+                                 "disagrees with its placement header");
+      std::size_t at = sizeof(h);
+      for (int i = 0; i < h[3]; ++i)
+        for (int j = 0; j < h[4]; ++j)
+          for (int k = 0; k < h[5]; ++k, at += bytes)
+            std::memcpy(gf.block(h[0] + i, h[1] + j, h[2] + k),
+                        buf.data() + at, bytes);
     }
   }
   const auto forces = export_step_forces_global();  // collective
+  // The global solver's cdm_density() / nu_density() describe the last
+  // force solve, as after a serial step (solved_ is uniform across ranks).
+  mesh::Grid3D<double> rho_cdm, rho_nu;
+  if (solved_ && comm_.size() == 1) {
+    rho_cdm = std::exchange(rho_cdm_, mesh::Grid3D<double>());
+    rho_nu = std::exchange(rho_nu_, mesh::Grid3D<double>());
+  } else if (solved_) {
+    const int n = options_.pm_grid;
+    if (comm_.rank() == 0) {
+      rho_cdm = mesh::Grid3D<double>(n, n, n, 2);
+      rho_nu = mesh::Grid3D<double>(n, n, n, 2);
+    }
+    gather_bricks(rho_cdm_, pm_dec_, cart_, kRhoCdmGatherTag, rho_cdm);
+    if (has_nu_)
+      gather_bricks(rho_nu_, pm_dec_, cart_, kRhoNuGatherTag, rho_nu);
+  }
   if (comm_.rank() == 0) {
-    global.cdm() = cdm_;
+    if (comm_.size() > 1) global.cdm() = cdm_;
     if (forces.fresh) global.import_step_forces(forces);
+    if (solved_) global.import_densities(std::move(rho_cdm), std::move(rho_nu));
   }
   comm_.barrier();
 }

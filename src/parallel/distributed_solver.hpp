@@ -1,9 +1,12 @@
 // Distributed hybrid Vlasov / N-body solver — the paper's execution model
-// (§5.1.3) on the in-process rank runtime (comm::run).
+// (§5.1.3) on the rank runtime (comm::run thread ranks or one TCP process
+// per rank).  It is the stepper of every driver run: a 1-rank run is the
+// world of one, whose single brick is the whole grid.
 //
 // Each rank owns one brick of the Vlasov spatial grid (velocity space is
 // never decomposed) plus the matching brick of the PM mesh.  One KDK step
-// runs the same sequence as the serial HybridSolver, with the
+// performs the operator sequence of hybrid::HybridSolver::step (kept as
+// the serial reference the equivalence tests compare against), with the
 // communication seams the paper describes:
 //
 //   * position sweeps read neighbor bricks through the spatial halo
@@ -49,9 +52,12 @@
 // is the Vlasov part; a particle-exchange layer can land on this seam
 // later without touching the Vlasov side.
 //
-// Construction shards an already built (serial) HybridSolver, so scenario
+// Construction shards an already built (global) HybridSolver, so scenario
 // factories and checkpoints keep a single source of truth for initial
-// conditions; gather_into() writes the evolved state back.
+// conditions; gather_into() writes the evolved state back.  In a world of
+// one rank the brick is the whole grid, so the phase space and the
+// particles are moved out of the global solver instead of copied (a second
+// f would double the run's memory) — see the constructor.
 #pragma once
 
 #include <array>
@@ -71,16 +77,23 @@ namespace v6d::parallel {
 
 class DistributedHybridSolver {
  public:
-  /// Shard rank-local state out of the fully built global solver; the
-  /// global object is only read during construction.  `decomp` must
-  /// multiply to comm.size() and satisfy parallel::validate_decomp.
-  /// A fresh force cache on the global solver is sharded too, so a
-  /// resumed run continues bit-identically.  `overlap` selects the
-  /// overlapped schedule (bit-identical to the synchronous reference;
-  /// default on).
-  DistributedHybridSolver(const hybrid::HybridSolver& global,
+  /// Shard rank-local state out of the fully built global solver.  With
+  /// more than one rank the global object is only read; with one rank its
+  /// phase space and particles move into this solver (the global's are
+  /// left empty) until gather_into() or the destructor hands them back,
+  /// so read nothing of the global solver before then.  `decomp` must
+  /// multiply to comm.size() and satisfy parallel::validate_decomp.  A
+  /// fresh force cache on the global solver is sharded too, so a resumed
+  /// run continues bit-identically.  `overlap` selects the overlapped
+  /// schedule (bit-identical to the synchronous reference; default on).
+  DistributedHybridSolver(hybrid::HybridSolver& global,
                           comm::Communicator& comm,
                           std::array<int, 3> decomp, bool overlap = true);
+  /// Hands back storage taken over from the global solver if gather_into()
+  /// did not (an exception unwound the run).
+  ~DistributedHybridSolver();
+  DistributedHybridSolver(const DistributedHybridSolver&) = delete;
+  DistributedHybridSolver& operator=(const DistributedHybridSolver&) = delete;
 
   /// One KDK step from a0 to a1 (collective; all ranks must agree on the
   /// interval — use suggest_next_a).
@@ -112,11 +125,15 @@ class DistributedHybridSolver {
   void import_step_forces_global(const hybrid::HybridSolver::StepForces& sf);
 
   /// Write the evolved state back into the global solver: every rank
-  /// copies its f brick (disjoint), rank 0 restores particles and the
-  /// force cache (collective).  With `via_messages` the ranks do not share
-  /// the global solver's address space (multi-process transports): bricks
-  /// travel to rank 0 as point-to-point messages and only rank 0's
-  /// `global` is assembled — the other ranks' globals are left untouched.
+  /// copies its f brick (disjoint), rank 0 restores particles, the force
+  /// cache and the PM densities of the last force solve, which the other
+  /// ranks send it as point-to-point messages (collective).
+  /// With `via_messages` the ranks do not share the global solver's
+  /// address space (multi-process transports): bricks travel to rank 0 as
+  /// point-to-point messages and only rank 0's `global` is assembled — the
+  /// other ranks' globals are left untouched.  In a world of one rank the
+  /// phase space, particles and densities move back instead, so this
+  /// solver must not step again.
   void gather_into(hybrid::HybridSolver& global, bool via_messages = false);
 
   TimerRegistry& timers() { return timers_; }
@@ -133,6 +150,8 @@ class DistributedHybridSolver {
   void drift(double drift_factor);
 
   comm::Communicator& comm_;
+  hybrid::HybridSolver* lender_ = nullptr;  // world of one: owner of the
+                                            // taken-over f_ and cdm_
   comm::CartTopology cart_;
   mesh::BrickDecomposition dec_;     // Vlasov spatial grid bricks
   mesh::BrickDecomposition pm_dec_;  // PM mesh bricks
@@ -156,6 +175,7 @@ class DistributedHybridSolver {
   std::vector<std::size_t> owned_;  // this rank's ownership split, refreshed
                                     // once per force assembly
   bool forces_fresh_ = false;
+  bool solved_ = false;  // compute_forces ran: rho bricks hold its deposit
   bool has_nu_ = false;
   bool overlap_ = true;
 

@@ -191,4 +191,31 @@ void allgather_bricks(const mesh::Grid3D<double>& brick,
   comm.allreduce_sum(global.raw(), global.raw_size());
 }
 
+void gather_bricks(const mesh::Grid3D<double>& brick,
+                   const mesh::BrickDecomposition& dec,
+                   comm::CartTopology& cart, int tag_base,
+                   mesh::Grid3D<double>& global) {
+  comm::Communicator& comm = cart.comm();
+  std::vector<double> buf;
+  for (int i = 0; i < dec.local_n(0); ++i)
+    for (int j = 0; j < dec.local_n(1); ++j)
+      for (int k = 0; k < dec.local_n(2); ++k) buf.push_back(brick.at(i, j, k));
+  comm.send(0, tag_base, buf.data(), buf.size());  // rank 0 too: buffered
+  if (comm.rank() != 0) return;
+  global.fill(0.0);
+  for (int r = 0; r < comm.size(); ++r) {
+    const mesh::BrickDecomposition d(dec.global(), dec.dims(),
+                                     cart.coords_of(r));
+    buf.resize(static_cast<std::size_t>(d.local_n(0)) * d.local_n(1) *
+               d.local_n(2));
+    comm.recv(r, tag_base, buf.data(), buf.size());
+    std::size_t o = 0;
+    for (int i = 0; i < d.local_n(0); ++i)
+      for (int j = 0; j < d.local_n(1); ++j)
+        for (int k = 0; k < d.local_n(2); ++k)
+          global.at(d.offset(0) + i, d.offset(1) + j, d.offset(2) + k) =
+              buf[o++];
+  }
+}
+
 }  // namespace v6d::parallel

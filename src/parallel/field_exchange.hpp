@@ -26,6 +26,16 @@ void allgather_bricks(const mesh::Grid3D<double>& brick,
                       const mesh::BrickDecomposition& dec,
                       comm::Communicator& comm, mesh::Grid3D<double>& global);
 
+/// Assemble the full global field on rank 0 only: every rank (rank 0
+/// included) sends its brick interior to rank 0 as one message tagged
+/// `tag_base`, placed by the sender's brick in `dec`'s decomposition over
+/// `cart`.  On rank 0, `global` must be pre-sized to the global extents
+/// (any ghost width; ghosts are left zero); elsewhere it is not touched.
+void gather_bricks(const mesh::Grid3D<double>& brick,
+                   const mesh::BrickDecomposition& dec,
+                   comm::CartTopology& cart, int tag_base,
+                   mesh::Grid3D<double>& global);
+
 /// Split (overlappable) brick <-> x-slab redistribution.
 ///
 /// Buffered point-to-point sends let the caller compute (Green-function

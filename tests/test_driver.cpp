@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "driver/checkpoint.hpp"
 #include "driver/config.hpp"
@@ -179,6 +181,118 @@ TEST(Driver, PeriodicCheckpointDoesNotPerturbRun) {
   checkpointing.run();
 
   expect_bit_identical(plain.solver(), checkpointing.solver());
+  std::filesystem::remove_all(dir);
+}
+
+// A 1-rank run is the world of one: its checkpoint holds exactly one
+// phase-space shard, rank 0's, and no global payload.
+TEST(Driver, OneRankRunWritesOneShard) {
+  namespace fs = std::filesystem;
+  const std::string dir = temp_dir("v6d_ckpt_one_shard");
+  auto cfg = tiny_config();
+  cfg.max_steps = 2;
+  cfg.checkpoint_dir = dir;
+  driver::Driver d(cfg);
+  ASSERT_EQ(d.run().reason, driver::StopReason::kMaxSteps);
+
+  std::vector<std::string> payloads;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const auto name = entry.path().filename().string();
+    if (name.rfind("phase_space.", 0) == 0) payloads.push_back(name);
+  }
+  EXPECT_EQ(payloads, std::vector<std::string>{"phase_space.2.r0.bin"});
+  driver::Checkpoint meta;
+  ASSERT_EQ(driver::read_checkpoint_meta(dir, meta), io::SnapshotStatus::kOk);
+  EXPECT_FALSE(meta.has_phase_space);
+  EXPECT_EQ(meta.shard_files,
+            std::vector<std::string>{"phase_space.2.r0.bin"});
+  fs::remove_all(dir);
+}
+
+// Checkpoints written before 1-rank runs were sharded carry the whole
+// phase space as one global payload (`phase_space_file`, no shard list).
+// They must still resume, bit-identically with the uninterrupted run.
+TEST(Driver, GlobalPayloadCheckpointResumesBitIdentically) {
+  const std::string dir = temp_dir("v6d_ckpt_global_payload");
+
+  auto cfg = tiny_config();
+  driver::Driver continuous(cfg);
+  const auto full = continuous.run();
+  ASSERT_GE(full.total_steps, 4) << "test wants a multi-step run";
+
+  // Stop at step 2 and write that state in the global-payload layout: the
+  // fields the 1-rank writer filled, the gathered f as the payload.
+  auto cfg2 = tiny_config();
+  cfg2.max_steps = 2;
+  driver::Driver interrupted(cfg2);
+  ASSERT_EQ(interrupted.run().reason, driver::StopReason::kMaxSteps);
+  const auto& solver = interrupted.solver();
+  driver::Checkpoint meta;
+  meta.config = cfg2;
+  meta.a = interrupted.scale_factor();
+  meta.step = interrupted.step_count();
+  meta.rng = Xoshiro256(cfg2.seed).state();
+  meta.has_phase_space = true;
+  meta.has_particles = true;
+  const auto forces = solver.export_step_forces();
+  ASSERT_TRUE(forces.fresh);
+  meta.has_forces = true;
+  ASSERT_EQ(driver::write_checkpoint(dir, meta, &solver.neutrinos(),
+                                     &solver.cdm(), &forces),
+            io::SnapshotStatus::kOk);
+  driver::Checkpoint written;
+  ASSERT_EQ(driver::read_checkpoint_meta(dir, written),
+            io::SnapshotStatus::kOk);
+  ASSERT_FALSE(written.phase_space_file.empty());
+  ASSERT_TRUE(written.shard_files.empty());
+
+  Options overrides;
+  overrides.set("max_steps", "0");
+  driver::Driver resumed = driver::Driver::resume(dir, overrides);
+  EXPECT_EQ(resumed.step_count(), 2);
+  ASSERT_EQ(resumed.run().reason, driver::StopReason::kFinished);
+  EXPECT_EQ(resumed.step_count(), full.total_steps);
+  EXPECT_EQ(resumed.scale_factor(), continuous.scale_factor());
+  expect_bit_identical(continuous.solver(), resumed.solver());
+  std::filesystem::remove_all(dir);
+}
+
+/// Every `"comm_bytes":N` value of a telemetry stream, in row order.
+std::vector<long long> heartbeat_comm_bytes(const std::string& path) {
+  std::vector<long long> values;
+  std::ifstream in(path);
+  const std::string key = "\"comm_bytes\":";
+  for (std::string line; std::getline(in, line);) {
+    const auto at = line.find(key);
+    if (at != std::string::npos)
+      values.push_back(std::stoll(line.substr(at + key.size())));
+  }
+  return values;
+}
+
+// A rank's messages to itself (all of a 1-rank run's slab exchanges) are
+// not traffic: the 1-rank heartbeat reports zero bytes, while a 2-rank run
+// of the same problem reports the bytes its ranks exchange.
+TEST(Driver, HeartbeatCountsOnlyBytesSentToOtherRanks) {
+  const std::string dir = temp_dir("v6d_heartbeat_bytes");
+  std::filesystem::create_directories(dir);
+  auto cfg = tiny_config();
+  cfg.nx = 8;
+  cfg.max_steps = 2;
+  for (const int ranks : {1, 2}) {
+    cfg.ranks = ranks;
+    cfg.telemetry = dir + "/ranks" + std::to_string(ranks) + ".jsonl";
+    driver::Driver d(cfg);
+    d.run();
+    const auto bytes = heartbeat_comm_bytes(cfg.telemetry);
+    ASSERT_EQ(bytes.size(), 2u) << "one heartbeat row per step";
+    for (const long long b : bytes) {
+      if (ranks == 1)
+        EXPECT_EQ(b, 0) << "1-rank run counted self-messages";
+      else
+        EXPECT_GT(b, 0) << "2-rank run reported no traffic";
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

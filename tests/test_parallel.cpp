@@ -1,8 +1,10 @@
 // Distributed execution path: decomposition planning, brick <-> slab
-// redistribution, N-rank vs serial equivalence of full driver runs,
-// distributed moments, conservation, and per-rank checkpoint shard resume.
+// redistribution, equivalence of 1..8-rank driver runs with the serial
+// HybridSolver reference, distributed moments, conservation, and per-rank
+// checkpoint shard resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -153,6 +155,32 @@ TEST(FieldExchange, AllgatherBricksAssemblesGlobalField) {
   });
 }
 
+TEST(FieldExchange, GatherBricksAssemblesGlobalFieldOnRankZero) {
+  const int n = 7;  // uneven bricks: remainder cells on low coordinates
+  comm::run(4, [&](comm::Communicator& comm) {
+    comm::CartTopology cart(comm, comm::CartTopology::choose_dims(4));
+    mesh::BrickDecomposition dec({n, n, n}, cart.dims(), cart.coords());
+    mesh::Grid3D<double> brick(dec.local_n(0), dec.local_n(1),
+                               dec.local_n(2), 2);
+    for (int i = 0; i < brick.nx(); ++i)
+      for (int j = 0; j < brick.ny(); ++j)
+        for (int k = 0; k < brick.nz(); ++k)
+          brick.at(i, j, k) = (dec.offset(0) + i) + 10.0 * (dec.offset(1) + j) +
+                              100.0 * (dec.offset(2) + k);
+    mesh::Grid3D<double> global;
+    if (comm.rank() == 0) global = mesh::Grid3D<double>(n, n, n, 2);
+    parallel::gather_bricks(brick, dec, cart, 970, global);
+    if (comm.rank() != 0) {
+      EXPECT_EQ(global.raw_size(), 0u);  // only rank 0 assembles
+      return;
+    }
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j)
+        for (int k = 0; k < n; ++k)
+          ASSERT_DOUBLE_EQ(global.at(i, j, k), i + 10.0 * j + 100.0 * k);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Serial vs N-rank equivalence of full driver runs
 // ---------------------------------------------------------------------------
@@ -161,20 +189,46 @@ struct RunOutcome {
   mesh::Grid3D<double> density;
   double mass_before = 0.0, mass_after = 0.0;
   nbody::Particles particles;
+  mesh::Grid3D<double> rho_cdm, rho_nu;  // PM densities of the last solve
 };
 
-RunOutcome run_scenario(const driver::SimulationConfig& cfg) {
-  driver::Driver d(cfg);
+RunOutcome outcome_of(const hybrid::HybridSolver& solver, double mass_before) {
   RunOutcome out;
-  out.mass_before = d.solver().total_mass();
-  d.run();
-  out.mass_after = d.solver().total_mass();
-  const auto& dims = d.solver().neutrinos().dims();
+  out.mass_before = mass_before;
+  out.mass_after = solver.total_mass();
+  const auto& dims = solver.neutrinos().dims();
   out.density = mesh::Grid3D<double>(dims.nx, dims.ny, dims.nz);
   if (dims.total_interior() > 0)
-    vlasov::compute_density(d.solver().neutrinos(), out.density);
-  out.particles = d.solver().cdm();
+    vlasov::compute_density(solver.neutrinos(), out.density);
+  out.particles = solver.cdm();
+  out.rho_cdm = solver.cdm_density();
+  out.rho_nu = solver.nu_density();
   return out;
+}
+
+/// The driver's run: `cfg.ranks` ranks of DistributedHybridSolver (one
+/// rank is the world of one).
+RunOutcome run_scenario(const driver::SimulationConfig& cfg) {
+  driver::Driver d(cfg);
+  const double mass_before = d.solver().total_mass();
+  d.run();
+  return outcome_of(d.solver(), mass_before);
+}
+
+/// The serial reference: a scenario-built HybridSolver stepped directly
+/// with the driver's CFL step choice and step budget, no Driver involved.
+RunOutcome run_serial_reference(const driver::SimulationConfig& cfg) {
+  auto solver = driver::find_scenario(cfg.scenario)->build(cfg, true);
+  const double mass_before = solver->total_mass();
+  double a = cfg.a_init;
+  for (int steps = 0; a < cfg.a_final - 1e-12; ++steps) {
+    if (cfg.max_steps > 0 && steps >= cfg.max_steps) break;
+    const double a1 =
+        std::min(solver->suggest_next_a(a, cfg.da_max), cfg.a_final);
+    solver->step(a, a1);
+    a = a1;
+  }
+  return outcome_of(*solver, mass_before);
 }
 
 double max_rel_density_diff(const mesh::Grid3D<double>& a,
@@ -203,7 +257,7 @@ TEST_P(DistributedRanks, VlasovOnlyMatchesSerial) {
   auto dist_cfg = serial_cfg;
   dist_cfg.ranks = p;
 
-  const auto serial = run_scenario(serial_cfg);
+  const auto serial = run_serial_reference(serial_cfg);
   const auto dist = run_scenario(dist_cfg);
 
   // Same realization, same steps; the only divergence is FFT / reduction
@@ -229,7 +283,7 @@ TEST_P(DistributedRanks, NeutrinoBoxMatchesSerial) {
   auto dist_cfg = serial_cfg;
   dist_cfg.ranks = p;
 
-  const auto serial = run_scenario(serial_cfg);
+  const auto serial = run_serial_reference(serial_cfg);
   const auto dist = run_scenario(dist_cfg);
 
   EXPECT_LT(max_rel_density_diff(serial.density, dist.density), 2e-5);
@@ -257,8 +311,29 @@ TEST_P(DistributedRanks, NeutrinoBoxMatchesSerial) {
   EXPECT_LT(max_dx, 1e-8);
 }
 
+TEST_P(DistributedRanks, GatheredPmDensitiesMatchSerial) {
+  // After Driver::run the global solver's cdm_density() / nu_density()
+  // describe the last force solve, as after the serial reference's step.
+  auto serial_cfg = make_cfg("neutrino_box", {{"nx", "8"},
+                                              {"nu", "6"},
+                                              {"np", "8"},
+                                              {"max_steps", "2"},
+                                              {"seed", "7"},
+                                              {"checkpoint_dir", ""}});
+  auto dist_cfg = serial_cfg;
+  dist_cfg.ranks = GetParam();
+
+  const auto serial = run_serial_reference(serial_cfg);
+  const auto dist = run_scenario(dist_cfg);
+
+  ASSERT_EQ(dist.rho_cdm.nx(), serial.rho_cdm.nx());
+  ASSERT_EQ(dist.rho_nu.nx(), serial.rho_nu.nx());
+  EXPECT_LT(max_rel_density_diff(serial.rho_cdm, dist.rho_cdm), 2e-5);
+  EXPECT_LT(max_rel_density_diff(serial.rho_nu, dist.rho_nu), 2e-5);
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedRanks,
-                         ::testing::Values(2, 4, 8));
+                         ::testing::Values(1, 2, 4, 8));
 
 TEST(DistributedTwoStream, MatchesSerialAcrossThinAxes) {
   // ny = nz = 2 < ghost 3: exercises the local periodic wrap path of the
@@ -269,7 +344,7 @@ TEST(DistributedTwoStream, MatchesSerialAcrossThinAxes) {
   auto dist_cfg = serial_cfg;
   dist_cfg.ranks = 4;  // auto decomp must pick 4x1x1
 
-  const auto serial = run_scenario(serial_cfg);
+  const auto serial = run_serial_reference(serial_cfg);
   const auto dist = run_scenario(dist_cfg);
 
   EXPECT_LT(max_rel_density_diff(serial.density, dist.density), 2e-5);
@@ -492,8 +567,9 @@ TEST(DistributedGather, RejectsPlacementHeaderOutsideGlobalGrid) {
                                  header[5] * bytes);
         std::memcpy(frame.data(), header, sizeof(header));
         comm.send_bytes(0, kGatherTag, frame.data(), frame.size());
-        // gather_into's collective tail: if rank 0 accepted the frame it
-        // returns (and the test fails) instead of waiting here forever.
+        // gather_into's collective tail (no step ran, so no density
+        // bricks follow): if rank 0 accepted the frame it returns (and the
+        // test fails) instead of waiting here forever.
         ds.export_step_forces_global();
         comm.barrier();
       });
@@ -506,13 +582,43 @@ TEST(DistributedGather, RejectsPlacementHeaderOutsideGlobalGrid) {
   }
 }
 
+TEST(DistributedGather, WorldOfOneHandsStorageBackOnUnwind) {
+  // A world of one takes the global phase space and particles over; if
+  // the run unwinds before gather_into, the destructor returns them.
+  auto cfg = make_cfg("neutrino_box", {{"nx", "8"},
+                                       {"nu", "4"},
+                                       {"np", "8"},
+                                       {"checkpoint_dir", ""}});
+  driver::Driver d(cfg);
+  const double mass = d.solver().total_mass();
+  const std::size_t particles = d.solver().cdm().size();
+  ASSERT_GT(particles, 0u);
+  const auto dims = driver::resolve_run_decomp(cfg, d.solver());
+  EXPECT_THROW(comm::run(1,
+                         [&](comm::Communicator& comm) {
+                           parallel::DistributedHybridSolver ds(d.solver(),
+                                                                comm, dims);
+                           // Taken over, not copied.
+                           EXPECT_EQ(d.solver().cdm().size(), 0u);
+                           EXPECT_EQ(
+                               d.solver().neutrinos().dims().total_interior(),
+                               0u);
+                           throw std::runtime_error("run unwound");
+                         }),
+               std::runtime_error);
+  EXPECT_EQ(d.solver().cdm().size(), particles);
+  EXPECT_EQ(d.solver().total_mass(), mass);
+}
+
 // ---------------------------------------------------------------------------
 // Per-rank checkpoint shards
 // ---------------------------------------------------------------------------
 
-TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
+TEST_P(DistributedRanks, ShardedResumeIsBitIdentical) {
   namespace fs = std::filesystem;
-  const auto base_dir = fs::temp_directory_path() / "v6d_dist_ckpt";
+  const int p = GetParam();
+  const auto base_dir =
+      fs::temp_directory_path() / ("v6d_dist_ckpt_" + std::to_string(p));
   fs::remove_all(base_dir);
   const std::string dir_full = (base_dir / "full").string();
   const std::string dir_resumed = (base_dir / "resumed").string();
@@ -520,7 +626,7 @@ TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
   const std::vector<std::pair<std::string, std::string>> base = {
       {"nx", "8"}, {"nu", "6"}, {"np", "8"}, {"seed", "5"}};
   auto cfg = make_cfg("neutrino_box", base);
-  cfg.ranks = 2;
+  cfg.ranks = p;
 
   // Uninterrupted 4-step run.
   auto cfg_full = cfg;
@@ -544,7 +650,7 @@ TEST(DistributedCheckpoint, ShardedResumeIsBitIdentical) {
 
   // The checkpoints written at step 4 must agree bit for bit: shards,
   // particles, and the step-boundary force cache.
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < p; ++r) {
     const std::string shard = "phase_space.4.r" + std::to_string(r) + ".bin";
     std::ifstream a(fs::path(dir_full) / shard, std::ios::binary);
     std::ifstream b(fs::path(dir_resumed) / shard, std::ios::binary);
